@@ -36,6 +36,10 @@ class ApspResult:
     @property
     def eccentricity(self) -> int:
         """Max distance recorded — ``ecc`` of this node (Lemma 2)."""
+        # Array-backed rows (repro.vector) reduce in one numpy pass.
+        row_max = getattr(self.distances, "max_value", None)
+        if row_max is not None:
+            return row_max()
         return max(self.distances.values())
 
     def next_hop(self, target: int) -> Optional[int]:

@@ -80,13 +80,16 @@ def _apsp_present(args, graph, outcome: RunOutcome) -> None:
               f"{dict(sorted(row.items()))}")
 
 
+def _apsp_summarize(summary, req: RunRequest) -> Dict[str, Any]:
+    eccentricities = summary.eccentricities().values()
+    return {"diameter": max(eccentricities), "radius": min(eccentricities)}
+
+
 register(Protocol(
     name="apsp",
     entry_point="core.run_apsp",
     run=_apsp_run,
-    summarize=lambda s, req: {
-        "diameter": s.diameter(), "radius": s.radius(),
-    },
+    summarize=_apsp_summarize,
     schema=(
         ParamSpec("collect_girth", kind="bool", default=False,
                   help="also collect the Lemma 7 girth witnesses"),

@@ -62,7 +62,7 @@ BACKENDS: Dict[str, _Backend] = {
     "apsp": _Backend(
         full_protocol="apsp",
         rows_of=lambda s: {
-            u: dict(r.distances) for u, r in s.results.items()
+            u: dict(r.distances.items()) for u, r in s.results.items()
         },
         row_protocol="ssp",
         param_names=frozenset(),

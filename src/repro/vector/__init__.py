@@ -11,7 +11,8 @@ protocols are closed-form functions of the distance matrix and the
 at ``n = 2048+``.
 
 The contract is byte-identical observability: every entry point returns
-the same result objects and the same
+results equal to the object engine's (APSP rows are read-only views
+over one shared distance matrix, see :mod:`._views`) and the same
 :class:`~repro.congest.metrics.RunMetrics` — rounds, message and bit
 totals, per-round series, max-per-edge counters and (optionally)
 per-edge cumulative bits — as the object engine, pinned by the golden

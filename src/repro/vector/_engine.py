@@ -75,6 +75,7 @@ from ..core.results import (
 from ..core.ssp import PRIORITY_DIST_ID
 from ..graphs.graph import Graph
 from . import VectorBackendError
+from ._views import ApspMatrix, DistanceRow, ParentRow
 
 #: Upper bound on (rows × directed edges) entries held live per chunk of
 #: the wave sweep — keeps peak memory near 100 MB at n = 2048.
@@ -597,27 +598,6 @@ def _emit_epilogue(sched: _Schedule, tree: _Tree, start: int,
     return start + phases * period
 
 
-def _wave_parents(csr: _Csr, distances: np.ndarray) -> np.ndarray:
-    """``P[v, u]`` = index of ``u``'s parent in ``T_v`` (``n`` at u=v)."""
-    n = csr.n
-    parents = np.full((n, n), n, dtype=np.int64)
-    if n == 1:
-        return parents
-    src_in = csr.src[csr.in_order]
-    dst_in = csr.dst[csr.in_order]
-    chunk = max(1, _CHUNK_ENTRIES // max(1, csr.m2))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        block = distances[lo:hi]
-        candidate = np.where(
-            block[:, src_in] == block[:, dst_in] - 1, src_in, n
-        )
-        parents[lo:hi] = np.minimum.reduceat(
-            candidate, csr.in_indptr[:-1], axis=1
-        )
-    return parents
-
-
 def _emit_ssp_phase(
     sched: _Schedule, csr: _Csr, source_idx: List[int], t0: int,
     duration: int,
@@ -786,28 +766,17 @@ def run_apsp(graph: Graph, *, collect_girth: bool = False, seed: int = 0,
         graph, collect_girth=collect_girth, track_edges=track_edges,
         bandwidth_bits=bandwidth_bits,
     )
-    n = csr.n
-    ids = csr.ids.tolist()
-    parents = _wave_parents(csr, distances)
-    # Map parent indices to ids; u = v slots (sentinel n) become None.
-    parent_ids = np.where(
-        parents < n, csr.ids[np.minimum(parents, n - 1)], -1
-    )
-    parent_cols = np.ascontiguousarray(parent_ids.T)
-    dist_cols = np.ascontiguousarray(distances.T.astype(np.int64))
+    matrix = ApspMatrix(distances, csr.ids, csr.indptr, csr.indices)
     girth_l = girth_best.tolist() if girth_best is not None else None
     results = {}
-    for u in range(n):
-        uid = ids[u]
-        row_parents = dict(zip(ids, parent_cols[u].tolist()))
-        row_parents[uid] = None
+    for u, uid in enumerate(matrix.ids):
         candidate = None
         if girth_l is not None and girth_l[u] != _NO_CANDIDATE:
             candidate = girth_l[u]
         results[uid] = ApspResult(
             uid=uid,
-            distances=dict(zip(ids, dist_cols[u].tolist())),
-            parents=row_parents,
+            distances=DistanceRow(matrix, u),
+            parents=ParentRow(matrix, u),
             girth_candidate=candidate,
         )
     return ApspSummary(results=results, metrics=metrics)
