@@ -25,9 +25,13 @@ algorithms send is a *closed-form function* of the BFS distance matrix
   sets held as one boolean matrix and each round's offers selected by a
   single vectorized argmin.
 
-Whole runs therefore collapse into a few ``bincount`` passes over
-delivery-round arrays, with the distance matrix computed by blocked
-boolean matrix products.  Counter fidelity notes:
+Whole runs therefore collapse into one all-sources BFS by blocked
+boolean matrix products plus a few ``bincount`` passes.  Each BFS level's
+product yields the next layer of ``D``, Algorithm 1's per-hop send
+counts (the ``BfsToken`` histogram is one weighted ``bincount`` of them)
+and the girth candidates; only the ``track_edges`` audit and the small-n
+Lemma 1 tripwire still sweep all (source, directed edge) pairs.  Counter
+fidelity notes:
 
 * Per directed edge and round these schedules deliver at most one
   message, **except** in the APSP phase where a wave token may share an
@@ -77,8 +81,10 @@ from ..graphs.graph import Graph
 from . import VectorBackendError
 from ._views import ApspMatrix, DistanceRow, ParentRow
 
-#: Upper bound on (rows × directed edges) entries held live per chunk of
-#: the wave sweep — keeps peak memory near 100 MB at n = 2048.
+#: Upper bound on the entries of one block: (sources × n) in the
+#: all-sources BFS, (sources × directed edges) in the per-edge wave
+#: sweep.  A BFS block holds a few float32/int32 arrays of this size,
+#: about 115 MB traced peak at n = 2048.
 _CHUNK_ENTRIES = 1 << 23
 
 #: Below this (n × directed edges) volume the Lemma 1 tripwire runs: an
@@ -189,33 +195,80 @@ def _sssp_depths(csr: _Csr, source_idx: int) -> np.ndarray:
     return depth
 
 
-def _all_pairs_distances(csr: _Csr) -> np.ndarray:
-    """The full hop-distance matrix via blocked boolean matmul BFS."""
+def _all_pairs_distances(csr: _Csr, collect_girth: bool):
+    """All-sources BFS via blocked boolean matmul, with wave accounting.
+
+    Each level multiplies the frontier ``L_{d-1}`` by the adjacency, so
+    ``prod[v, x]`` counts the neighbours of ``x`` in ``L_{d-1}(v)``.
+    That one product yields, besides ``L_d``:
+
+    * **Algorithm 1's sends.**  A node ``x ∈ L_d(v)`` forwards wave
+      ``v`` to every neighbour not one hop closer to ``v``, i.e. on
+      ``deg x − prod[v, x]`` edges, so ``sent[v, d]`` sums that over the
+      layer (``sent[v, 0] = deg v``).
+    * **Girth candidates** (``collect_girth``): ``x ∈ L_d`` with two
+      neighbours in ``L_{d-1}`` gives ``2d``; with one in ``L_d`` — the
+      next level's product at ``x`` — it gives ``2d + 1``.
+
+    A source's row leaves the block once its frontier is empty, or once
+    it has reached every node unless its last layer still needs the
+    same-hop product.  Returns ``(D, sent, girth_best)``: int32 hop
+    distances, int64 ``sent`` of shape ``(n, max ecc + 1)`` and a
+    per-node int64 candidate array (``_NO_CANDIDATE`` = none) or
+    ``None``.
+    """
     n = csr.n
+    degree = np.diff(csr.indptr)
+    hops: List[np.ndarray] = [degree.copy()]
+    girth_best = (
+        np.full(n, _NO_CANDIDATE, dtype=np.int64) if collect_girth else None
+    )
+    distances = np.zeros((n, n), dtype=np.int32)
     if n == 1:
-        return np.zeros((1, 1), dtype=np.int32)
+        return distances, np.stack(hops, axis=1), girth_best
     adjacency = np.zeros((n, n), dtype=np.float32)
     adjacency[csr.src, csr.dst] = 1.0
-    distances = np.zeros((n, n), dtype=np.int32)
+    degree32 = degree.astype(np.float32)
     block = max(1, min(n, _CHUNK_ENTRIES // n))
     for start in range(0, n, block):
-        stop = min(n, start + block)
-        rows = stop - start
-        reached = np.zeros((rows, n), dtype=bool)
-        reached[np.arange(rows), np.arange(start, stop)] = True
+        rows = np.arange(start, min(n, start + block))
+        reached = np.zeros((rows.size, n), dtype=bool)
+        reached[np.arange(rows.size), rows] = True
+        unreached = np.full(rows.size, n - 1, dtype=np.int64)
         frontier = reached.astype(np.float32)
+        dist = np.zeros((rows.size, n), dtype=np.int32)
         level = 0
-        sub = distances[start:stop]
-        while True:
-            nxt = (frontier @ adjacency) > 0.0
+        while rows.size:
+            # Every entry is an integer ≤ deg x < 2**24: exact in float32.
+            prod = frontier @ adjacency
+            nxt = prod > 0.0
+            if girth_best is not None and level:
+                odd = (nxt & (frontier > 0.0)).any(axis=0)
+                girth_best[odd] = np.minimum(girth_best[odd], 2 * level + 1)
             nxt &= ~reached
-            if not nxt.any():
-                break
             level += 1
-            sub[nxt] = level
+            if girth_best is not None:
+                even = (nxt & (prod >= 2.0)).any(axis=0)
+                girth_best[even] = np.minimum(girth_best[even], 2 * level)
+            np.subtract(degree32, prod, out=prod)
+            prod *= nxt
+            if level == len(hops):
+                hops.append(np.zeros(n, dtype=np.int64))
+            hops[level][rows] = prod.sum(axis=1, dtype=np.float64)
+            dist[nxt] = level
             reached |= nxt
+            unreached -= np.count_nonzero(nxt, axis=1)
+            alive = nxt.any(axis=1)
+            if girth_best is None:
+                alive &= unreached > 0
+            if not alive.all():
+                distances[rows[~alive]] = dist[~alive]
+                rows, dist, reached, nxt, unreached = (
+                    rows[alive], dist[alive], reached[alive], nxt[alive],
+                    unreached[alive],
+                )
             frontier = nxt.astype(np.float32)
-    return distances
+    return distances, np.stack(hops, axis=1), girth_best
 
 
 class _Tree:
@@ -453,104 +506,114 @@ def _pebble_schedule(tree: _Tree, t0: int):
             )
 
 
-def _token_present(distances: np.ndarray, wave_round: np.ndarray,
-                   src_idx: int, dst_idx: int, round_no: int) -> bool:
-    """Whether any wave token crosses ``(src, dst)`` in ``round_no``."""
-    d_src = distances[:, src_idx].astype(np.int64)
-    return bool(np.any(
-        (wave_round + d_src + 1 == round_no)
-        & (distances[:, dst_idx] >= distances[:, src_idx])
-    ))
+def _tokens_present(distances: np.ndarray, wave_round: np.ndarray,
+                    reach: int, src_idx: np.ndarray, dst_idx: np.ndarray,
+                    rounds: np.ndarray) -> np.ndarray:
+    """Whether some wave token crosses ``(src[i], dst[i])`` in ``rounds[i]``.
 
-
-def _emit_apsp_phase(
-    sched: _Schedule, csr: _Csr, tree: _Tree, distances: np.ndarray,
-    t0: int, collect_girth: bool,
-):
-    """Algorithm 1's pebble + n waves + finish broadcast.
-
-    Returns ``(finish_round, girth_best)`` where ``girth_best`` is a
-    per-node int64 array (``_NO_CANDIDATE`` = none) or ``None``.
+    Wave ``v`` is on an edge in round ``r`` only if
+    ``w(v) ∈ [r − 1 − reach, r − 1]`` (``reach`` bounds every hop
+    distance), so each check looks only at the waves started in that
+    window, found by binary search on the sorted start rounds.
     """
-    n = csr.n
-    (wave_round, moves_src, moves_dst, moves_stage,
-     exhausted) = _pebble_schedule(tree, t0)
-    finish_round = exhausted + tree.diameter_bound + 2
-    girth_best = (
-        np.full(n, _NO_CANDIDATE, dtype=np.int64) if collect_girth else None
+    order = np.argsort(wave_round, kind="stable")
+    starts = wave_round[order]
+    lo = np.searchsorted(starts, rounds - 1 - reach, side="left")
+    span = np.searchsorted(starts, rounds - 1, side="right") - lo
+    which = np.repeat(np.arange(rounds.size), span)
+    offset = np.arange(which.size) - np.repeat(np.cumsum(span) - span, span)
+    wave = order[np.repeat(lo, span) + offset]
+    d_src = distances[wave, src_idx[which]]
+    hit = (
+        (wave_round[wave] + d_src + 1 == rounds[which])
+        & (distances[wave, dst_idx[which]] >= d_src)
     )
-    if n == 1:
-        return finish_round, girth_best
+    return np.bincount(which[hit], minlength=rounds.size) > 0
 
-    # Pebble moves: 2(n-1) singletons, delivered the round after staging.
-    move_edges = csr.edge_of(moves_src, moves_dst)
-    sched.deliver(PebbleMsg, moves_stage + 1, move_edges)
 
-    # Finish broadcast down the tree.
-    sched.deliver(
-        DownMsg, exhausted + tree.depth[tree.nonroot], tree.down_edges
-    )
+def _wave_edge_counts(csr: _Csr, distances: np.ndarray,
+                      wave_round: np.ndarray, total: int,
+                      check_lemma1: bool) -> np.ndarray:
+    """Per directed edge, how many wave tokens cross it (n × 2m sweep).
 
-    # The n BFS waves, in source chunks.
-    src, dst = csr.src, csr.dst
-    src_in = src[csr.in_order]
-    dst_in = dst[csr.in_order]
-    m2 = csr.m2
-    total = sched.total_rounds
-    counts = np.zeros(total + 2, dtype=np.int64)
-    edge_counts = (
-        np.zeros(m2, dtype=np.int64) if sched.edge_bits is not None else None
-    )
-    check_lemma1 = n * m2 <= _LEMMA1_CHECK_LIMIT
+    With ``check_lemma1`` it also verifies exhaustively that no two wave
+    tokens share an edge-round.
+    """
+    src, dst, m2 = csr.src, csr.dst, csr.m2
+    edge_counts = np.zeros(m2, dtype=np.int64)
     seen_keys: List[np.ndarray] = []
     chunk = max(1, _CHUNK_ENTRIES // max(1, m2))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        block = distances[lo:hi]
-        d_src = block[:, src].astype(np.int64)
-        d_dst = block[:, dst]
-        mask = d_dst >= block[:, src]
-        rounds = wave_round[lo:hi, None] + d_src + 1
-        hit = rounds[mask]
-        if hit.size:
-            peak = int(hit.max())
-            if peak > total:
-                raise AssertionError(
-                    f"wave delivery in round {peak} past run length {total}"
-                )
-            counts += np.bincount(hit, minlength=total + 2)
-        if edge_counts is not None:
-            edge_counts += mask.sum(axis=0)
-        if check_lemma1 and hit.size:
+    for lo in range(0, csr.n, chunk):
+        block = distances[lo:lo + chunk]
+        mask = block[:, dst] >= block[:, src]
+        edge_counts += mask.sum(axis=0)
+        if check_lemma1:
+            rounds = (
+                wave_round[lo:lo + chunk, None]
+                + block[:, src].astype(np.int64) + 1
+            )
             edge_idx = np.broadcast_to(
                 np.arange(m2, dtype=np.int64), mask.shape
             )[mask]
-            seen_keys.append(edge_idx * (total + 2) + hit)
-        if collect_girth:
-            d_si = block[:, src_in]
-            d_di = block[:, dst_in]
-            same = np.add.reduceat(
-                d_si == d_di, csr.in_indptr[:-1], axis=1
-            )
-            above = np.add.reduceat(
-                d_si == d_di - 1, csr.in_indptr[:-1], axis=1
-            )
-            twice = 2 * block.astype(np.int64)
-            candidate = np.where(above >= 2, twice, _NO_CANDIDATE)
-            candidate = np.minimum(
-                candidate,
-                np.where(same >= 1, twice + 1, _NO_CANDIDATE),
-            )
-            np.minimum(
-                girth_best, candidate.min(axis=0), out=girth_best
-            )
-    if check_lemma1 and seen_keys:
+            seen_keys.append(edge_idx * (total + 2) + rounds[mask])
+    if seen_keys:
         keys = np.concatenate(seen_keys)
         keys.sort()
         if keys.size > 1 and bool((np.diff(keys) == 0).any()):  # pragma: no cover
             raise AssertionError(
                 "two BFS waves shared an edge-round (Lemma 1 violation); "
                 "the vector schedule no longer matches the object engine"
+            )
+    return edge_counts
+
+
+def _emit_apsp_phase(
+    sched: _Schedule, csr: _Csr, tree: _Tree, distances: np.ndarray,
+    sent: np.ndarray, t0: int,
+) -> int:
+    """Algorithm 1's pebble + n waves + finish broadcast.
+
+    ``sent`` holds each wave's per-hop send counts from
+    :func:`_all_pairs_distances`; returns the finish round.
+    """
+    n = csr.n
+    (wave_round, moves_src, moves_dst, moves_stage,
+     exhausted) = _pebble_schedule(tree, t0)
+    finish_round = exhausted + tree.diameter_bound + 2
+    if n == 1:
+        return finish_round
+
+    # Pebble moves: 2(n-1) singletons, delivered the round after staging.
+    move_edges = csr.edge_of(moves_src, moves_dst)
+    move_rounds = moves_stage + 1
+    sched.deliver(PebbleMsg, move_rounds, move_edges)
+
+    # Finish broadcast down the tree.
+    down_rounds = exhausted + tree.depth[tree.nonroot]
+    sched.deliver(DownMsg, down_rounds, tree.down_edges)
+
+    # The n BFS waves: hop d of wave v is delivered in w(v) + d + 1.
+    total = sched.total_rounds
+    reach = sent.shape[1] - 1
+    live = sent > 0
+    hit = (wave_round[:, None] + np.arange(reach + 1) + 1)[live]
+    peak = int(hit.max())
+    if peak > total:
+        raise AssertionError(
+            f"wave delivery in round {peak} past run length {total}"
+        )
+    counts = np.bincount(
+        hit, weights=sent[live], minlength=total + 2
+    ).astype(np.int64)
+    check_lemma1 = n * csr.m2 <= _LEMMA1_CHECK_LIMIT
+    edge_counts = None
+    if sched.edge_bits is not None or check_lemma1:
+        edge_counts = _wave_edge_counts(
+            csr, distances, wave_round, total, check_lemma1
+        )
+        if int(edge_counts.sum()) != int(counts.sum()):  # pragma: no cover
+            raise AssertionError(
+                "per-hop wave send counts disagree with the per-edge sweep"
             )
     witness_edge = int(csr.indptr[tree.root_idx])
     sched.deliver_bincounts(
@@ -559,21 +622,20 @@ def _emit_apsp_phase(
 
     # Wave-token coincidences with the pebble / the finish broadcast —
     # the only multi-message edge-rounds any schedule here produces.
-    for e, x, y, s in zip(
-        move_edges.tolist(), moves_src.tolist(), moves_dst.tolist(),
-        (moves_stage + 1).tolist(),
-    ):
-        if _token_present(distances, wave_round, x, y, s):
-            sched.coincide(PebbleMsg, e, s)
-    down_rounds = (exhausted + tree.depth[tree.nonroot]).tolist()
-    for e, v, r in zip(
-        tree.down_edges.tolist(), tree.nonroot.tolist(), down_rounds
-    ):
-        if _token_present(
-            distances, wave_round, int(tree.parent[v]), v, r
-        ):
-            sched.coincide(DownMsg, e, r)
-    return finish_round, girth_best
+    pebble_hit = _tokens_present(
+        distances, wave_round, reach, moves_src, moves_dst, move_rounds
+    )
+    for e, r in zip(move_edges[pebble_hit].tolist(),
+                    move_rounds[pebble_hit].tolist()):
+        sched.coincide(PebbleMsg, e, r)
+    down_hit = _tokens_present(
+        distances, wave_round, reach, tree.parent[tree.nonroot],
+        tree.nonroot, down_rounds,
+    )
+    for e, r in zip(tree.down_edges[down_hit].tolist(),
+                    down_rounds[down_hit].tolist()):
+        sched.coincide(DownMsg, e, r)
+    return finish_round
 
 
 def _emit_epilogue(sched: _Schedule, tree: _Tree, start: int,
@@ -734,7 +796,7 @@ def _apsp_run(graph: Graph, *, collect_girth: bool, track_edges: bool,
               bandwidth_bits: Optional[int], epilogue_phases: int = 0):
     """Shared tree + Algorithm 1 (+ optional epilogue) schedule."""
     csr = _Csr(graph)
-    distances = _all_pairs_distances(csr)
+    distances, sent, girth_best = _all_pairs_distances(csr, collect_girth)
     tree = _Tree(csr, distances[csr.root_idx].astype(np.int64))
     t0 = tree.start_round
     # The run length must be known before any bincount: finish_round
@@ -745,9 +807,7 @@ def _apsp_run(graph: Graph, *, collect_girth: bool, track_edges: bool,
     total_rounds = finish_round + epilogue_phases * period
     sched = _Schedule(total_rounds, csr, SizeModel(csr.n), track_edges)
     _emit_tree_phase(sched, csr, tree)
-    finish_again, girth_best = _emit_apsp_phase(
-        sched, csr, tree, distances, t0, collect_girth
-    )
+    finish_again = _emit_apsp_phase(sched, csr, tree, distances, sent, t0)
     assert finish_again == finish_round
     if epilogue_phases:
         _emit_epilogue(sched, tree, finish_round, epilogue_phases)
