@@ -177,6 +177,14 @@ def _csv(text: Optional[str], cast=str) -> List:
     return [cast(item.strip()) for item in text.split(",") if item.strip()]
 
 
+def _worker_count(text: str) -> int:
+    """``--workers``: a worker-process count of at least 1."""
+    value = int(text)  # argparse reports a ValueError as invalid input
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def cmd_campaign(args: argparse.Namespace) -> int:
     """``repro campaign``: run a cached, parallel sweep (docs/harness.md).
 
@@ -539,7 +547,7 @@ def cmd_serve_chaos(args: argparse.Namespace) -> int:
         kills=args.kills,
         kill_after_s=args.kill_after,
         kill_every_s=args.kill_every,
-        deadline_s=args.deadline,
+        deadline_s=None if args.deadline <= 0 else args.deadline,
         retries=args.retries,
         inject=args.inject,
         inject_jobs=args.inject_jobs,
@@ -786,9 +794,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the final /stats snapshot here on "
                         "shutdown")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=_worker_count, default=2,
                    help="supervised compute worker processes "
-                        "(0 = in-process thread; default 2)")
+                        "(at least 1; default 2)")
     p.add_argument("--deadline", type=float, default=30.0,
                    help="per-compute wall-clock budget in seconds "
                         "(<=0 disables; default 30)")
@@ -872,8 +880,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concurrent keep-alive connections (default 4)")
     p.add_argument("--duration", type=float, default=8.0,
                    help="seconds of load (default 8)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="supervised worker processes (default 2)")
+    p.add_argument("--workers", type=_worker_count, default=2,
+                   help="supervised worker processes (at least 1; "
+                        "default 2)")
     p.add_argument("--kills", type=int, default=1,
                    help="workers to SIGKILL during the run (default 1)")
     p.add_argument("--kill-after", type=float, default=1.0,
@@ -881,7 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kill-every", type=float, default=2.0,
                    help="seconds between kills (default 2)")
     p.add_argument("--deadline", type=float, default=15.0,
-                   help="per-compute deadline in seconds (default 15)")
+                   help="per-compute deadline in seconds "
+                        "(<=0 disables; default 15)")
     p.add_argument("--retries", type=int, default=2,
                    help="crash retries per compute job (default 2)")
     p.add_argument("--inject", default=None,

@@ -8,13 +8,16 @@ or completion interleaving.  Per-task seeding is deterministic too:
 the simulator seed is part of the task itself, never derived from
 worker identity or scheduling.
 
-Execution is hardened against hostile tasks (docs/harness.md):
+Execution is hardened against hostile tasks (docs/harness.md).  Pool
+runs use :mod:`repro.pool` lanes, one worker process per lane and one
+task per lane at a time, so every failure is blamed on exactly one
+task:
 
-* a per-task wall-clock **timeout** kills overdue workers and records a
-  ``Timeout`` error instead of hanging the campaign;
-* a worker process dying (segfault, ``os._exit``, OOM-kill) is
-  contained: the pool is respawned and only the in-flight tasks are
-  affected, each recorded as ``WorkerCrashed`` — never the whole run;
+* a per-task wall-clock **timeout** kills that task's worker only and
+  records a ``Timeout`` error instead of hanging the campaign;
+* a worker process dying (segfault, ``os._exit``, OOM-kill) fails the
+  task it carried, recorded as ``WorkerCrashed``; its lane forks a
+  fresh worker and the other lanes' tasks run on untouched;
 * **transient** failures (timeouts, worker death) are retried up to
   ``retries`` times with exponential backoff; deterministic in-task
   exceptions are *not* retried — rerunning them cannot help;
@@ -29,20 +32,13 @@ comparisons.
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
 import time
-import traceback
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..pool import Crashed, Lane, Ok, Outcome, Raised, RetryPolicy, call
 from .cache import RunCache
 from .progress import ProgressReporter
 from .runner import execute_task
@@ -110,76 +106,40 @@ def _finalize(
     return out
 
 
-def _truncated_traceback() -> str:
-    """The current exception's traceback, truncated to the tail.
-
-    The tail keeps the innermost frames — the ones that say where the
-    task actually blew up — while bounding record size.
-    """
-    text = traceback.format_exc().strip()
-    if len(text) > _TRACEBACK_CHARS:
-        text = "... (truncated)\n" + text[-_TRACEBACK_CHARS:]
-    return text
-
-
-def _execute_indexed(
-    job: Tuple[int, Task],
-) -> Tuple[int, Optional[Dict[str, Any]], Optional[Dict[str, str]], float]:
-    """Worker entry point: run one task, never raise.
-
-    Returns ``(index, record, error, elapsed_s)`` with exactly one of
-    ``record``/``error`` set, so a bad task fails its own record instead
-    of poisoning the pool.  Errors carry the (truncated) traceback so a
-    failed campaign is debuggable from its JSONL store alone.
-    """
-    index, task = job
+def _timed(task: Task) -> Tuple[Dict[str, Any], float]:
+    """Worker entry point: one task's record and its compute seconds."""
     started = time.perf_counter()
-    try:
-        record = execute_task(task)
-    except Exception as exc:  # noqa: BLE001 — reported per-task
-        error = {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "traceback": _truncated_traceback(),
-        }
-        return index, None, error, time.perf_counter() - started
-    return index, record, None, time.perf_counter() - started
+    record = execute_task(task)
+    return record, time.perf_counter() - started
 
 
-def _init_worker(path_entries: List[str]) -> None:
-    """Mirror the parent's ``sys.path`` (matters under spawn start)."""
-    for entry in path_entries:
-        if entry not in sys.path:
-            sys.path.append(entry)
+def _error(
+    outcome: Outcome, attempt: int, timeout_s: Optional[float]
+) -> Dict[str, Any]:
+    """The error block of a failed task's record.
 
-
-def _pool_context():
-    """Prefer fork (fast, inherits imports); fall back to the default."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcibly stop a pool, killing workers that ignore shutdown.
-
-    Used when a task overruns its timeout (the stuck worker would
-    otherwise run forever) and when abandoning a broken pool.  SIGTERM
-    first, escalating to SIGKILL for workers that ignore it.
+    In-task exceptions carry their (truncated) traceback, so a failed
+    campaign is debuggable from its JSONL store alone; the transient
+    kinds carry how many attempts they used.
     """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    for proc in processes:
-        try:
-            proc.terminate()
-        except (OSError, ValueError):
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in processes:
-        proc.join(timeout=5.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=5.0)
+    if isinstance(outcome, Raised):
+        # The tail keeps the innermost frames, the ones that say where
+        # the task blew up, while bounding record size.
+        text = outcome.traceback
+        if len(text) > _TRACEBACK_CHARS:
+            text = "... (truncated)\n" + text[-_TRACEBACK_CHARS:]
+        return {
+            "type": outcome.type,
+            "message": outcome.message,
+            "traceback": text,
+        }
+    if isinstance(outcome, Crashed):
+        kind = "WorkerCrashed"
+        message = "the worker process running this task died unexpectedly"
+    else:
+        kind = "Timeout"
+        message = f"task exceeded the {timeout_s:g}s wall-clock limit"
+    return {"type": kind, "message": message, "attempts": attempt + 1}
 
 
 def run_tasks(
@@ -233,15 +193,22 @@ def run_tasks(
         else:
             pending.append(index)
 
-    def settle(index: int, record, error, elapsed: float) -> None:
+    def settle(
+        index: int, attempt: int, outcome: Outcome, elapsed: float
+    ) -> None:
         key = keys[index]
-        if error is not None:
+        failed = not isinstance(outcome, Ok)
+        if failed:
             slots[index] = _finalize(
-                {"task": tasks[index].payload(), "error": error},
+                {
+                    "task": tasks[index].payload(),
+                    "error": _error(outcome, attempt, timeout_s),
+                },
                 key, elapsed_s=elapsed, cache_hit=False,
             )
             summary.failures += 1
         else:
+            record, elapsed = outcome.result
             if cache is not None:
                 cache.put(key, record)
             slots[index] = _finalize(
@@ -249,7 +216,7 @@ def run_tasks(
             )
         summary.executed += 1
         if progress:
-            progress.task_done(cache_hit=False, failed=error is not None)
+            progress.task_done(cache_hit=False, failed=failed)
 
     def skip(index: int) -> None:
         slots[index] = _finalize(
@@ -267,29 +234,29 @@ def run_tasks(
             progress.task_done(cache_hit=False)
 
     failure_limit = 1 if fail_fast else max_failures
-    workers = min(max(1, jobs), max(1, len(pending)))
+
+    def limit_reached() -> bool:
+        return failure_limit is not None and summary.failures >= failure_limit
+
     # The in-process fast path cannot kill overdue tasks, survive a
     # crashing task, or retry a dead worker — any hardening knob (or
     # more than one worker) forces pool execution.
-    needs_pool = bool(pending) and (
-        jobs > 1 or timeout_s is not None or retries > 0
-    )
-    if not needs_pool:
-        for index in pending:
-            if failure_limit is not None and summary.failures >= failure_limit:
-                skip(index)
-                continue
-            settle(*_execute_indexed((index, tasks[index])))
-    else:
-        _run_pool(
-            tasks, pending, settle, skip,
-            workers=workers,
+    if jobs > 1 or timeout_s is not None or retries > 0:
+        _run_lanes(
+            tasks, pending, settle, skip, limit_reached,
+            workers=min(max(1, jobs), max(1, len(pending))),
             timeout_s=timeout_s,
-            retries=max(0, retries),
-            backoff_s=max(0.0, backoff_s),
-            failure_limit=failure_limit,
+            retry=RetryPolicy(max(0, retries), max(0.0, backoff_s)),
             summary=summary,
         )
+    else:
+        for index in pending:
+            if limit_reached():
+                skip(index)
+                continue
+            began = time.perf_counter()
+            outcome = call(_timed, tasks[index])
+            settle(index, 0, outcome, time.perf_counter() - began)
 
     summary.records = [slot for slot in slots if slot is not None]
     summary.elapsed_s = time.perf_counter() - started
@@ -300,207 +267,68 @@ def run_tasks(
     return summary
 
 
-def _run_pool(
+def _run_lanes(
     tasks: Sequence[Task],
     pending: Sequence[int],
     settle,
     skip,
+    limit_reached,
     *,
     workers: int,
     timeout_s: Optional[float],
-    retries: int,
-    backoff_s: float,
-    failure_limit: Optional[int],
+    retry: RetryPolicy,
     summary: CampaignSummary,
 ) -> None:
-    """The hardened parallel execution loop (see module docstring).
+    """Run ``pending`` on ``workers`` lanes (see the module docstring).
 
-    Keeps at most ``workers`` futures in flight so a timeout or crash
-    only ever disturbs that many tasks; tracks a wall-clock deadline
-    per future; and survives both overdue tasks (pool killed and
-    respawned, overdue task marked ``Timeout``) and broken pools.
-    Transient failures re-enter the queue until their retry budget runs
-    out; tasks merely *displaced* by a pool kill or a sibling's crash
-    are resubmitted without consuming an attempt.
-
-    Crash blame is isolated: when a worker dies the executor cannot
-    say *which* in-flight task killed it, so nobody is charged — every
-    implicated task becomes a *suspect* and re-runs alone.  A suspect
-    that crashes solo is definitely the culprit (``WorkerCrashed``,
-    one attempt consumed); a suspect that completes solo is exonerated
-    and normal parallelism resumes.
+    Each lane carries one task at a time, driven by one thread blocked
+    in :meth:`~repro.pool.Lane.run`; this thread hands out tasks and
+    settles outcomes.  A failed attempt that ``retry`` calls transient
+    re-enters the queue after its backoff.  Every lane is killed and
+    reaped before this returns, so consecutive campaigns never overlap
+    in the process tree.
     """
     queue: Deque[Tuple[int, int]] = deque((i, 0) for i in pending)
-    #: future -> (task index, attempt number, absolute deadline or None)
-    inflight: Dict[Any, Tuple[int, int, Optional[float]]] = {}
-    #: task indices implicated in a pool breakage; they run solo.
-    suspects: set = set()
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_pool_context(),
-            initializer=_init_worker,
-            initargs=(list(sys.path),),
-        )
-
-    def transient_failure(
-        index: int, attempt: int, kind: str, message: str, elapsed: float
-    ) -> None:
-        """Retry a timeout/crash, or settle its error record when spent."""
-        if attempt < retries:
-            summary.retried += 1
-            delay = backoff_s * (2 ** attempt)
-            if delay > 0:
-                time.sleep(delay)
-            queue.append((index, attempt + 1))
-        else:
-            settle(
-                index, None,
-                {
-                    "type": kind,
-                    "message": message,
-                    "attempts": attempt + 1,
-                },
-                elapsed,
-            )
-
-    def drain_unsettled() -> List[Tuple[int, int]]:
-        """Salvage finished in-flight futures; return the rest.
-
-        Called when the pool is about to be killed or is already
-        broken: futures that completed keep their results, the rest
-        come back as ``(index, attempt)`` pairs for the caller to
-        requeue — without consuming a retry attempt.
-        """
-        leftover: List[Tuple[int, int]] = []
-        for future, (index, attempt, _) in list(inflight.items()):
-            outcome = None
-            if future.done():
-                try:
-                    outcome = future.result(timeout=0)
-                except Exception:  # noqa: BLE001 — broken/cancelled
-                    outcome = None
-            if outcome is not None:
-                suspects.discard(index)
-                settle(*outcome)
-            else:
-                leftover.append((index, attempt))
-        inflight.clear()
-        return leftover
-
-    pool = make_pool()
+    lanes = [Lane(_timed, name=f"repro-campaign-{i}") for i in range(workers)]
+    idle = list(lanes)
+    #: future -> (lane, task index, attempt number, dispatch time)
+    inflight: Dict[Any, Tuple[Lane, int, int, float]] = {}
+    threads = ThreadPoolExecutor(
+        max_workers=workers, thread_name_prefix="repro-campaign"
+    )
     try:
         while queue or inflight:
-            if (
-                failure_limit is not None
-                and summary.failures >= failure_limit
-            ):
+            if limit_reached():
                 while queue:
                     skip(queue.popleft()[0])
-                if not inflight:
-                    break
-            solo_running = any(
-                idx in suspects for (idx, _, _) in inflight.values()
-            )
-            while queue and len(inflight) < workers and not solo_running:
-                if (
-                    failure_limit is not None
-                    and summary.failures >= failure_limit
-                ):
-                    break
-                index, attempt = queue[0]
-                if index in suspects and inflight:
-                    break  # wait for the lanes to clear first
-                queue.popleft()
-                future = pool.submit(
-                    _execute_indexed, (index, tasks[index])
-                )
-                deadline = (
-                    time.monotonic() + timeout_s
-                    if timeout_s is not None else None
-                )
-                inflight[future] = (index, attempt, deadline)
-                if index in suspects:
-                    break  # run the suspect alone
+            while queue and idle:
+                lane = idle.pop()
+                index, attempt = queue.popleft()
+                lane.start()
+                future = threads.submit(lane.run, tasks[index], timeout_s)
+                inflight[future] = (lane, index, attempt, time.perf_counter())
             if not inflight:
-                continue
-
-            wait_s = None
-            if timeout_s is not None:
-                now = time.monotonic()
-                wait_s = max(
-                    0.0,
-                    min(d for (_, _, d) in inflight.values()) - now,
-                )
-            done, _ = wait(
-                set(inflight), timeout=wait_s,
-                return_when=FIRST_COMPLETED,
-            )
-
-            broken = False
-            casualties: List[Tuple[int, int]] = []
+                break
+            done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
             for future in done:
-                index, attempt, _ = inflight.pop(future)
-                try:
-                    outcome = future.result()
-                except BrokenExecutor:
-                    broken = True
-                    casualties.append((index, attempt))
+                lane, index, attempt, began = inflight.pop(future)
+                idle.append(lane)
+                outcome = future.result()
+                delay = retry.delay(outcome, attempt)
+                if delay is None:
+                    settle(index, attempt, outcome,
+                           time.perf_counter() - began)
                     continue
-                suspects.discard(index)
-                settle(*outcome)
-
-            if broken:
-                # Every remaining future on a broken pool fails too;
-                # salvage what finished, then apportion blame: a task
-                # that was running *alone* is definitely the culprit,
-                # otherwise all implicated tasks become suspects and
-                # re-run solo (no attempt consumed) on a fresh pool.
-                casualties.extend(drain_unsettled())
-                if len(casualties) == 1:
-                    index, attempt = casualties[0]
-                    suspects.add(index)  # keep any retry solo too
-                    transient_failure(
-                        index, attempt, "WorkerCrashed",
-                        "the worker process running this task died "
-                        "unexpectedly",
-                        0.0,
-                    )
-                else:
-                    for index, attempt in casualties:
-                        suspects.add(index)
-                        queue.appendleft((index, attempt))
-                _terminate_pool(pool)
-                pool = make_pool()
-                continue
-
-            if timeout_s is not None:
-                now = time.monotonic()
-                overdue = [
-                    future
-                    for future, (_, _, deadline) in inflight.items()
-                    if deadline is not None and deadline <= now
-                    and not future.done()
-                ]
-                if overdue:
-                    # There is no portable way to kill one worker, so
-                    # kill the pool; tasks merely displaced by the kill
-                    # are resubmitted without consuming an attempt.
-                    for future in overdue:
-                        index, attempt, _ = inflight.pop(future)
-                        transient_failure(
-                            index, attempt, "Timeout",
-                            f"task exceeded the {timeout_s:g}s "
-                            f"wall-clock limit",
-                            timeout_s,
-                        )
-                    for index, attempt in drain_unsettled():
-                        queue.appendleft((index, attempt))
-                    _terminate_pool(pool)
-                    pool = make_pool()
+                summary.retried += 1
+                if delay > 0:
+                    time.sleep(delay)
+                queue.append((index, attempt + 1))
     finally:
-        _terminate_pool(pool)
+        for lane in lanes:
+            lane.kill()
+        threads.shutdown(wait=True)
+        for lane in lanes:
+            lane.close()
 
 
 def run_campaign(

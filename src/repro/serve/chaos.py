@@ -64,7 +64,8 @@ class ChaosOptions:
     kills: int = 1
     kill_after_s: float = 1.0
     kill_every_s: float = 2.0
-    deadline_s: float = 15.0
+    #: Per-compute deadline in seconds (``None`` disables it).
+    deadline_s: Optional[float] = 15.0
     retries: int = 2
     queue_depth: int = 128
     #: Optional compute poisoning: ``crash`` | ``hang`` | ``error``.

@@ -5,9 +5,13 @@
 protocol runs that fill cache misses.  It is deliberately synchronous:
 the HTTP layer (:mod:`repro.serve.server`) calls the fast lookup paths
 from the event loop and routes cold misses through the asyncio
-batcher (:mod:`repro.serve.batch`), which in turn calls
-:meth:`compute_rows` on a worker thread.  Tests and the docs example
-can drive the service directly without any server.
+batcher (:mod:`repro.serve.batch`) into the supervised worker pool
+(:mod:`repro.serve.supervisor`).  Pool workers and the library calls
+:meth:`~DistanceService.compute_rows` / :meth:`~DistanceService.
+compute_full` build rows with the same :func:`run_family`, and every
+result is merged into the cache and the counters here, by
+:meth:`~DistanceService.merge`.  Tests and the docs example can drive the service directly
+without any server.
 
 Two query backends exist:
 
@@ -27,7 +31,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple,
+)
 
 from .. import obs, protocols
 from ..congest.errors import GraphError
@@ -98,6 +104,68 @@ def sequential_rounds_estimate(batch_size: int, batch_rounds: int) -> int:
     return batch_size * singleton
 
 
+def _spanned_run(
+    protocol: str, graph: Graph, params: Dict[str, Any],
+    family: QueryFamily, **attrs: Any,
+):
+    tracer = obs.active()
+    span_id = None
+    if tracer is not None:
+        span_id = tracer.span_begin(
+            "serve_run", round_no=0, protocol=protocol,
+            graph=family.graph_spec, **attrs,
+        )
+    outcome = protocols.run(
+        protocol, graph, params,
+        seed=family.seed, policy=family.policy, backend=family.backend,
+    )
+    if tracer is not None:
+        tracer.span_end(
+            span_id, round_no=outcome.metrics.rounds,
+            rounds=outcome.metrics.rounds,
+        )
+    return outcome
+
+
+def batch_sources(
+    family: QueryFamily, sources: List[int]
+) -> Optional[List[int]]:
+    """The source set a row request runs as, sorted and deduplicated.
+
+    ``None`` when the family's backend has no row engine: the request
+    then runs the full matrix, which answers it a fortiori.
+    """
+    if BACKENDS[family.protocol].row_protocol is None:
+        return None
+    return sorted(set(sources))
+
+
+def run_family(
+    family: QueryFamily, graph: Graph, sources: Optional[List[int]] = None
+) -> Tuple[Dict[int, Dict[int, int]], int]:
+    """Run ``family``'s protocol on ``graph``: ``(rows, rounds)``.
+
+    With ``sources`` (from :func:`batch_sources`) this is one
+    Algorithm 2 run whose source set is the batch; without, the
+    full-matrix protocol.  Pure: it touches no cache or counter, so
+    pool workers and the in-process library calls share it.
+    """
+    backend = BACKENDS[family.protocol]
+    if sources is None:
+        outcome = _spanned_run(
+            backend.full_protocol, graph, dict(family.params), family,
+        )
+        return backend.rows_of(outcome.summary), outcome.metrics.rounds
+    outcome = _spanned_run(
+        backend.row_protocol, graph, {"sources": sources},
+        family, batch_size=len(sources),
+    )
+    return (
+        rows_from_ssp_summary(outcome.summary, sources),
+        outcome.metrics.rounds,
+    )
+
+
 class DistanceService:
     """Graphs loaded once, matrices memoized, queries at memory speed."""
 
@@ -131,8 +199,9 @@ class DistanceService:
             max_bytes=max_matrix_bytes, run_cache=run_cache
         )
         self._graphs: Dict[str, Graph] = {}
-        #: Guards cache/graph structures shared between the event loop
-        #: and the simulation worker thread.  Never held during a run.
+        #: Guards cache/graph structures against callers on other
+        #: threads (a server's event loop runs on its own thread while
+        #: library callers read the cache).  Never held during a run.
         self._lock = threading.RLock()
 
     # -- graphs ------------------------------------------------------------
@@ -232,71 +301,48 @@ class DistanceService:
 
     # -- computation (runs a simulation; call off the event loop) ----------
 
-    def _spanned_run(
-        self, protocol: str, graph: Graph, params: Dict[str, Any],
-        family: QueryFamily, **attrs: Any,
-    ):
-        tracer = obs.active()
-        span_id = None
-        if tracer is not None:
-            span_id = tracer.span_begin(
-                "serve_run", round_no=0, protocol=protocol,
-                graph=family.graph_spec, **attrs,
-            )
-        outcome = protocols.run(
-            protocol, graph, params,
-            seed=family.seed, policy=family.policy,
-            backend=family.backend,
-        )
-        if tracer is not None:
-            tracer.span_end(
-                span_id, round_no=outcome.metrics.rounds,
-                rounds=outcome.metrics.rounds,
-            )
-        return outcome
-
     def compute_rows(
         self, family: QueryFamily, sources: List[int]
     ) -> DistanceMatrix:
-        """Run one batched row computation and merge it into the cache.
+        """Run one batched row computation in-process and merge it.
 
         For ``apsp`` this is a single Algorithm 2 run whose source set
         is the whole batch; backends without a row engine fall back to
         the full matrix (which answers the batch a fortiori).
         """
-        backend = BACKENDS[family.protocol]
-        if backend.row_protocol is None:
-            return self.compute_full(family)
+        batch = batch_sources(family, sources)
         graph = self.load_graph(family.graph_spec)
-        sources = sorted(set(sources))
-        outcome = self._spanned_run(
-            backend.row_protocol, graph, {"sources": sources},
-            family, batch_size=len(sources),
-        )
-        rows = rows_from_ssp_summary(outcome.summary, sources)
-        rounds = outcome.metrics.rounds
-        self.stats.observe_batch(
-            len(sources), rounds,
-            sequential_rounds_estimate(len(sources), rounds),
-        )
-        self.stats.observe_protocol_run()
-        with self._lock:
-            return self.cache.store_rows(
-                family, graph.n, rows, rounds=rounds
-            )
+        return self.merge(family, batch, *run_family(family, graph, batch))
 
     def compute_full(self, family: QueryFamily) -> DistanceMatrix:
-        """Run the full-matrix protocol and memoize the result."""
-        backend = BACKENDS[family.protocol]
+        """Run the full-matrix protocol in-process and memoize it."""
         graph = self.load_graph(family.graph_spec)
-        outcome = self._spanned_run(
-            backend.full_protocol, graph, dict(family.params), family,
-        )
-        rows = backend.rows_of(outcome.summary)
+        return self.merge(family, None, *run_family(family, graph))
+
+    def merge(
+        self,
+        family: QueryFamily,
+        sources: Optional[List[int]],
+        rows: Dict[int, Dict[int, int]],
+        rounds: int,
+    ) -> DistanceMatrix:
+        """Count one :func:`run_family` result and cache its rows.
+
+        ``sources`` is the run's batch, or ``None`` for a full matrix.
+        """
+        graph = self.load_graph(family.graph_spec)
         self.stats.observe_protocol_run()
         with self._lock:
-            return self.cache.store_full(
-                family, graph.n, rows, rounds=outcome.metrics.rounds
+            if sources is None:
+                return self.cache.store_full(
+                    family, graph.n, rows, rounds=rounds
+                )
+            self.stats.observe_batch(
+                len(sources), rounds,
+                sequential_rounds_estimate(len(sources), rounds),
+            )
+            return self.cache.store_rows(
+                family, graph.n, rows, rounds=rounds
             )
 
     # -- ensure + answer (the synchronous query path) ----------------------

@@ -1,8 +1,8 @@
 """The supervised multiprocess compute pool behind ``repro serve``.
 
-The PR 2 campaign harness learned to survive hostile tasks — timeouts,
-retries with backoff, worker-crash blame — but only offline.  This
-module brings the same discipline to the serving path: cold
+The campaign harness survives hostile tasks — timeouts, retries with
+backoff, exact crash blame — and this module brings the same pool
+(:mod:`repro.pool`) to the serving path: cold
 ``compute_rows`` / ``compute_full`` work comes off the asyncio event
 loop and runs in N supervised worker *processes*, so a crashed or
 wedged Algorithm 2 run costs one worker (respawned automatically), not
@@ -14,21 +14,25 @@ Contract per job:
   is SIGKILLed and the waiter gets :class:`DeadlineExceeded` (the HTTP
   layer degrades ``/diameter`` to the 2-vs-4 approximation, everything
   else answers ``503``);
-* a **crash** (worker SIGKILLed, segfaulted, ``os._exit``) requeues the
+* a **crash** (worker SIGKILLed, segfaulted, ``os._exit``) retries the
   job with exponential backoff up to ``retries`` times — the batch a
   killed worker was carrying is re-run, never dropped — then fails it
-  with :class:`ComputeFailed`;
+  with :class:`ComputeFailed`; a deadline miss is not retried, because
+  the deadline counts from submission;
 * a **deterministic in-task exception** is *not* retried (rerunning
   cannot help) and fails immediately with :class:`ComputeFailed`;
 * **admission** is bounded: more than ``queue_depth`` jobs pending
   raises :class:`PoolSaturated` at submit time (the HTTP layer sheds
   with ``429 Retry-After``) so overload never buffers unboundedly.
 
-Workers are plain ``multiprocessing`` children on a duplex pipe; each
+Workers are :class:`repro.pool.Lane` processes — the pool the campaign
+harness runs on — one job per lane at a time, so a crash or a deadline
+kill is charged to exactly the job that lane carried.  Each worker
 keeps a per-process graph cache so repeated families avoid re-parsing.
 A heartbeat task respawns workers that die while *idle* (an external
 SIGKILL between jobs), which is what flips ``/readyz`` back to ready
-without waiting for traffic.
+without waiting for traffic.  :meth:`Supervisor.close` kills busy
+workers at once and fails their jobs with :class:`SupervisorError`.
 
 Chaos injection — the serving twin of the harness's hostile ``chaos``
 protocol — is built in for tests and the ``repro serve-chaos``
@@ -41,16 +45,15 @@ from __future__ import annotations
 
 import asyncio
 import math
-import multiprocessing
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Set
 
 from .. import obs, protocols
 from ..graphs.specs import parse_graph
-from .matrix import QueryFamily, rows_from_ssp_summary
-from .service import BACKENDS, DistanceService, sequential_rounds_estimate
+from ..pool import Lane, Ok, Raised, RetryPolicy, TimedOut
+from .matrix import QueryFamily
+from .service import DistanceService, batch_sources, run_family
 
 #: Default worker-process count (``repro serve --workers``).
 DEFAULT_WORKERS = 2
@@ -58,11 +61,11 @@ DEFAULT_WORKERS = 2
 #: Default per-job wall-clock budget from submission to result.
 DEFAULT_DEADLINE_S = 30.0
 
-#: Crash retries per job (a killed worker requeues its batch this
-#: many times before the job fails).
+#: Crash retries per job (the batch a killed worker carried is re-run
+#: this many times before the job fails).
 DEFAULT_RETRIES = 1
 
-#: Base backoff before a crash-requeued job re-enters the queue.
+#: Base backoff before a crashed job's retry (doubles per attempt).
 DEFAULT_BACKOFF_S = 0.05
 
 #: Max jobs pending (queued + running) before submission sheds.
@@ -111,46 +114,34 @@ def _apply_inject(inject: Mapping[str, Any], graph) -> None:
     )
 
 
-def _execute_job(
-    job: Mapping[str, Any], graphs: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Run one compute job; returns a pickle-pure result dict."""
-    family = job["family"]
-    spec = family["graph"]
-    graph = graphs.get(spec)
+#: The worker process's parsed graphs, so repeated families avoid
+#: re-parsing.  Filled only inside pool workers.
+_WORKER_GRAPHS: Dict[str, Any] = {}
+
+
+def _execute_job(job: Mapping[str, Any]) -> Dict[str, Any]:
+    """Run one compute job in a worker; returns a pickle-pure result."""
+    payload = job["family"]
+    spec = payload["graph"]
+    graph = _WORKER_GRAPHS.get(spec)
     if graph is None:
-        graph = parse_graph(spec)
-        graphs[spec] = graph
+        graph = _WORKER_GRAPHS[spec] = parse_graph(spec)
     inject = job.get("inject")
     if inject:
         _apply_inject(inject, graph)
+    family = QueryFamily.make(
+        spec, payload["protocol"], payload["params"],
+        seed=payload["seed"], policy=payload["policy"],
+        backend=payload.get("backend", "object"),
+    )
     kind = job["kind"]
-    seed, policy = family["seed"], family["policy"]
-    engine = family.get("backend", "object")
-    if kind == "rows":
-        backend = BACKENDS[family["protocol"]]
-        sources = list(job["sources"])
-        outcome = protocols.run(
-            backend.row_protocol, graph, {"sources": sources},
-            seed=seed, policy=policy, backend=engine,
-        )
-        return {
-            "rows": rows_from_ssp_summary(outcome.summary, sources),
-            "rounds": outcome.metrics.rounds,
-        }
-    if kind == "full":
-        backend = BACKENDS[family["protocol"]]
-        outcome = protocols.run(
-            backend.full_protocol, graph, dict(family["params"]),
-            seed=seed, policy=policy, backend=engine,
-        )
-        return {
-            "rows": backend.rows_of(outcome.summary),
-            "rounds": outcome.metrics.rounds,
-        }
+    if kind in ("rows", "full"):
+        rows, rounds = run_family(family, graph, job.get("sources"))
+        return {"rows": rows, "rounds": rounds}
     if kind == "approx-diameter":
         outcome = protocols.run(
-            "two-vs-four", graph, {}, seed=seed, policy=policy,
+            "two-vs-four", graph, {},
+            seed=family.seed, policy=family.policy,
         )
         return {
             "diameter": outcome.summary.diameter,
@@ -159,68 +150,22 @@ def _execute_job(
     raise ValueError(f"unknown job kind {kind!r}")
 
 
-def _worker_main(conn) -> None:
-    """The worker-process loop: recv job → execute → send reply."""
-    graphs: Dict[str, Any] = {}
-    while True:
-        try:
-            job = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        if job is None:
-            return
-        try:
-            reply = {"ok": True, "result": _execute_job(job, graphs)}
-        except BaseException as exc:  # noqa: BLE001 — reported per job
-            reply = {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            return
-
-
-# ---------------------------------------------------------------------------
-# Supervisor side (runs on the event loop).
-# ---------------------------------------------------------------------------
-
-
-class _WorkerHandle:
-    """One live worker process plus its parent pipe end."""
-
-    __slots__ = ("process", "conn", "wid", "busy", "jobs_done")
-
-    def __init__(self, process, conn, wid: int) -> None:
-        self.process = process
-        self.conn = conn
-        self.wid = wid
-        self.busy = False
-        self.jobs_done = 0
-
-
 class _Job:
     """One queued compute job and its waiter."""
 
-    __slots__ = ("payload", "future", "attempt", "deadline")
+    __slots__ = ("payload", "future", "budget", "deadline")
 
-    def __init__(self, payload, future, deadline: Optional[float]) -> None:
+    def __init__(self, payload, future, budget: Optional[float]) -> None:
         self.payload = payload
         self.future = future
-        self.attempt = 0
-        self.deadline = deadline
+        #: Seconds from submission to result (``None`` = unbounded).
+        self.budget = budget
+        self.deadline = (
+            time.monotonic() + budget if budget is not None else None
+        )
 
 
 _CLOSE = object()
-
-
-def _mp_context():
-    """Prefer fork (fast, inherits imports); fall back to the default."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
 
 
 class ChaosPlan:
@@ -276,20 +221,34 @@ class Supervisor:
         chaos: Optional[Mapping[str, Any]] = None,
         heartbeat_s: float = HEARTBEAT_S,
     ) -> None:
+        if int(workers) < 1:
+            raise ValueError(
+                f"workers must be at least 1 (got {workers}); every "
+                f"cold compute runs in a supervised worker process"
+            )
         self.service = service
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
         self.deadline_s = deadline_s
         self.retries = max(0, int(retries))
-        self.backoff_s = max(0.0, backoff_s)
+        # Deadlines count from submission, so a timed-out job has no
+        # budget left to retry with; only crashes are transient here.
+        self._retry = RetryPolicy(
+            self.retries, max(0.0, backoff_s), retry_timeouts=False
+        )
         self.queue_depth = max(1, int(queue_depth))
         self.chaos = ChaosPlan(chaos) if chaos else None
         self.heartbeat_s = heartbeat_s
-        self._mp = _mp_context()
         self._queue: "asyncio.Queue" = asyncio.Queue()
-        self._handles: Dict[int, _WorkerHandle] = {}
+        self._lanes = [
+            Lane(_execute_job, name=f"repro-serve-worker-{wid}")
+            for wid in range(self.workers)
+        ]
+        #: Lanes whose dispatch loop holds a job (the heartbeat leaves
+        #: their respawns to that loop).
+        self._held: Set[Lane] = set()
         self._loops: List[asyncio.Task] = []
         self._heartbeat_task: Optional[asyncio.Task] = None
-        self._recv_pool = ThreadPoolExecutor(
+        self._threads = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve-pool"
         )
         self._pending = 0
@@ -314,12 +273,13 @@ class Supervisor:
         if self._started:
             return
         self._started = True
-        for wid in range(self.workers):
-            self._handles[wid] = self._spawn(wid)
-        for wid in range(self.workers):
-            self._loops.append(
-                asyncio.ensure_future(self._worker_loop(wid))
-            )
+        for lane in self._lanes:
+            lane.start()
+            self.spawned += 1
+        self._loops = [
+            asyncio.ensure_future(self._lane_loop(lane))
+            for lane in self._lanes
+        ]
         self._heartbeat_task = asyncio.ensure_future(self._heartbeat())
 
     async def drain(self) -> None:
@@ -328,52 +288,39 @@ class Supervisor:
             await asyncio.sleep(0.01)
 
     async def close(self) -> None:
-        """Stop the loops and terminate every worker."""
+        """Kill every worker and fail the jobs still outstanding.
+
+        Busy workers are killed first, so a hung job cannot stall
+        shutdown; their jobs and any still queued fail with
+        :class:`SupervisorError`, and nothing is retried or respawned.
+        """
         if self._closed:
             return
         self._closed = True
+        for lane in self._lanes:
+            lane.kill()
+        while not self._queue.empty():
+            self._finish(self._queue.get_nowait(), error=SupervisorError(
+                "supervisor closed before the job ran"
+            ))
+        for _ in self._loops:
+            self._queue.put_nowait(_CLOSE)
+        tasks = list(self._loops)
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
-        for _ in self._loops:
-            await self._queue.put(_CLOSE)
-        if self._loops:
-            await asyncio.gather(*self._loops, return_exceptions=True)
-        for handle in self._handles.values():
-            self._terminate(handle)
-        self._handles.clear()
-        self._recv_pool.shutdown(wait=False)
+            tasks.append(self._heartbeat_task)
+        await asyncio.gather(*tasks, return_exceptions=True)
+        for lane in self._lanes:
+            lane.close()
+        self._threads.shutdown(wait=False)
 
     # -- worker management -------------------------------------------------
 
-    def _spawn(self, wid: int) -> _WorkerHandle:
-        parent, child = self._mp.Pipe()
-        process = self._mp.Process(
-            target=_worker_main, args=(child,),
-            name=f"repro-serve-worker-{wid}", daemon=True,
-        )
-        process.start()
-        child.close()
-        self.spawned += 1
-        return _WorkerHandle(process, parent, wid)
-
-    def _terminate(self, handle: _WorkerHandle) -> None:
-        try:
-            if handle.process.is_alive():
-                handle.process.kill()
-        except (OSError, ValueError):
-            pass
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-
-    def _respawn(self, wid: int) -> _WorkerHandle:
-        self._terminate(self._handles[wid])
-        handle = self._spawn(wid)
-        self._handles[wid] = handle
-        self.respawns += 1
-        self.last_respawn_at = time.monotonic()
-        return handle
+    def _respawn(self, lane: Lane) -> None:
+        if lane.start():
+            self.spawned += 1
+            self.respawns += 1
+            self.last_respawn_at = time.monotonic()
 
     def respawn_age_s(self) -> Optional[float]:
         """Seconds since the last crash respawn (``None`` if never).
@@ -392,25 +339,18 @@ class Supervisor:
         """Respawn workers that died while idle (external SIGKILL)."""
         while not self._closed:
             await asyncio.sleep(self.heartbeat_s)
-            for wid, handle in list(self._handles.items()):
-                if not handle.busy and not handle.process.is_alive():
+            for lane in self._lanes:
+                if lane not in self._held and not lane.alive():
                     self.crashes += 1
-                    self._respawn(wid)
+                    self._respawn(lane)
 
     def live_workers(self) -> int:
         """Workers whose processes are currently alive."""
-        return sum(
-            1 for handle in self._handles.values()
-            if handle.process.is_alive()
-        )
+        return sum(1 for lane in self._lanes if lane.alive())
 
     def worker_pids(self) -> List[int]:
         """PIDs of live workers (the chaos harness's kill list)."""
-        return [
-            handle.process.pid
-            for handle in self._handles.values()
-            if handle.process.is_alive() and handle.process.pid
-        ]
+        return [lane.pid for lane in self._lanes if lane.pid]
 
     # -- submission --------------------------------------------------------
 
@@ -440,9 +380,6 @@ class Supervisor:
             payload = dict(payload)
             self.chaos.stamp(payload)
         budget = self.deadline_s if deadline_s is None else deadline_s
-        deadline = (
-            time.monotonic() + budget if budget is not None else None
-        )
         future = asyncio.get_running_loop().create_future()
         self._pending += 1
         self.submitted += 1
@@ -453,9 +390,11 @@ class Supervisor:
                 "serve_pool_job", round_no=0, kind=payload["kind"],
                 graph=payload["family"]["graph"],
             )
-        await self._queue.put(_Job(payload, future, deadline))
+        await self._queue.put(_Job(payload, future, budget))
         try:
-            result = await asyncio.shield(future)
+            # A cancelled waiter cancels the future too, so the job's
+            # outcome is dropped instead of left unretrieved.
+            result = await future
         finally:
             if tracer is not None:
                 tracer.span_end(
@@ -488,129 +427,95 @@ class Supervisor:
             if not job.future.done():
                 job.future.set_result(result)
 
-    async def _retry_or_fail(self, job: _Job, reason: str) -> None:
-        """Crash path: requeue with backoff, or fail when budget spent."""
-        if job.attempt < self.retries:
-            job.attempt += 1
-            self.requeues += 1
-            delay = self.backoff_s * (2 ** (job.attempt - 1))
-            if delay:
-                await asyncio.sleep(delay)
-            await self._queue.put(job)
-        else:
-            self._finish(job, error=ComputeFailed(
-                f"{reason} ({job.attempt + 1} attempt(s))"
-            ))
-
-    async def _worker_loop(self, wid: int) -> None:
-        loop = asyncio.get_running_loop()
+    async def _lane_loop(self, lane: Lane) -> None:
         while True:
             job = await self._queue.get()
             if job is _CLOSE:
                 return
-            if job.deadline is not None and time.monotonic() >= job.deadline:
-                self.deadline_misses += 1
-                self._finish(job, error=DeadlineExceeded(
-                    "job spent its deadline waiting in the queue"
-                ))
-                continue
-            handle = self._handles[wid]
-            if not handle.process.is_alive():
-                handle = self._respawn(wid)
-            handle.busy = True
-            payload = dict(job.payload)
-            payload["attempt"] = job.attempt
-            inject = payload.get("inject")
-            if (
-                inject is not None
-                and inject.get("attempts") is not None
-                and job.attempt >= int(inject["attempts"])
-            ):
-                del payload["inject"]
+            self._held.add(lane)
             try:
-                handle.conn.send(payload)
-            except (BrokenPipeError, OSError, ValueError):
-                self.crashes += 1
-                self._respawn(wid)
-                handle.busy = False
-                await self._retry_or_fail(
-                    job, "worker pipe broke before dispatch"
-                )
-                continue
+                await self._run_job(lane, job)
+            finally:
+                self._held.discard(lane)
+
+    async def _run_job(self, lane: Lane, job: _Job) -> None:
+        """Run ``job`` on ``lane`` until it settles, retrying crashes."""
+        loop = asyncio.get_running_loop()
+        attempt = 0
+        while True:
+            if self._closed:
+                self._finish(job, error=SupervisorError(
+                    "supervisor closed before the job finished"
+                ))
+                return
             timeout = None
             if job.deadline is not None:
-                timeout = max(0.0, job.deadline - time.monotonic())
-            recv = loop.run_in_executor(self._recv_pool, handle.conn.recv)
-            try:
-                reply = await asyncio.wait_for(asyncio.shield(recv), timeout)
-            except asyncio.TimeoutError:
-                self.deadline_misses += 1
-                # No portable way to interrupt one compute: kill the
-                # worker, let the stranded recv settle via EOF.
-                recv.add_done_callback(_swallow)
-                self._respawn(wid)
-                self._finish(job, error=DeadlineExceeded(
-                    f"job exceeded its "
-                    f"{(self.deadline_s or 0):g}s deadline"
-                ))
-                self._handles[wid].busy = False
-                continue
-            except (EOFError, OSError):
+                timeout = job.deadline - time.monotonic()
+                if timeout <= 0:
+                    self.deadline_misses += 1
+                    self._finish(job, error=DeadlineExceeded(
+                        "job spent its deadline waiting in the queue"
+                    ))
+                    return
+            if not lane.alive():
+                # Died idle before the heartbeat noticed: not this
+                # job's doing, so it costs the job no attempt.
                 self.crashes += 1
-                self._respawn(wid)
-                self._handles[wid].busy = False
-                await self._retry_or_fail(
-                    job, "the worker process running this job died"
-                )
-                continue
-            handle.busy = False
-            handle.jobs_done += 1
-            if reply["ok"]:
-                self._finish(job, result=reply["result"])
-            else:
+                self._respawn(lane)
+            outcome = await loop.run_in_executor(
+                self._threads, lane.run, _attempt_payload(job, attempt),
+                timeout,
+            )
+            if isinstance(outcome, Ok):
+                self._finish(job, result=outcome.result)
+                return
+            if isinstance(outcome, Raised):
                 # Deterministic in-job exception: retrying cannot help.
                 self._finish(job, error=ComputeFailed(
-                    f"{reply['error']}: {reply['message']}"
+                    f"{outcome.type}: {outcome.message}"
                 ))
+                return
+            if self._closed:
+                continue  # close() killed the worker; fail the job above
+            self._respawn(lane)
+            if isinstance(outcome, TimedOut):
+                self.deadline_misses += 1
+                self._finish(job, error=DeadlineExceeded(
+                    f"job exceeded its {job.budget:g}s deadline"
+                ))
+                return
+            self.crashes += 1
+            delay = self._retry.delay(outcome, attempt)
+            if delay is None:
+                self._finish(job, error=ComputeFailed(
+                    f"the worker process running this job died "
+                    f"({attempt + 1} attempt(s))"
+                ))
+                return
+            self.requeues += 1
+            if delay:
+                await asyncio.sleep(delay)
+            attempt += 1
 
-    # -- typed compute API (merges results into the service) ---------------
+    # -- typed compute API (results merge into the service) ----------------
 
     async def rows(self, family: QueryFamily, sources: List[int]) -> None:
         """Batched row computation in the pool; merges into the cache."""
-        backend = BACKENDS[family.protocol]
-        if backend.row_protocol is None:
-            await self.full(family)
-            return
-        sources = sorted(set(sources))
-        result = await self.submit({
-            "kind": "rows",
-            "family": family.payload(),
-            "sources": sources,
-        })
-        graph = self.service.load_graph(family.graph_spec)
-        rounds = result["rounds"]
-        self.service.stats.observe_batch(
-            len(sources), rounds,
-            sequential_rounds_estimate(len(sources), rounds),
-        )
-        self.service.stats.observe_protocol_run()
-        with self.service._lock:
-            self.service.cache.store_rows(
-                family, graph.n, result["rows"], rounds=rounds
-            )
+        await self._compute(family, batch_sources(family, sources))
 
     async def full(self, family: QueryFamily) -> None:
         """Full-matrix computation in the pool; memoizes the result."""
+        await self._compute(family, None)
+
+    async def _compute(
+        self, family: QueryFamily, sources: Optional[List[int]]
+    ) -> None:
         result = await self.submit({
-            "kind": "full",
+            "kind": "full" if sources is None else "rows",
             "family": family.payload(),
+            "sources": sources,
         })
-        graph = self.service.load_graph(family.graph_spec)
-        self.service.stats.observe_protocol_run()
-        with self.service._lock:
-            self.service.cache.store_full(
-                family, graph.n, result["rows"], rounds=result["rounds"]
-            )
+        self.service.merge(family, sources, result["rows"], result["rounds"])
 
     async def approx_diameter(self, family: QueryFamily) -> int:
         """The 2-vs-4 classification (Algorithm 3) — the degraded path.
@@ -651,10 +556,18 @@ class Supervisor:
         }
 
 
-def _swallow(future) -> None:
-    """Discard the result/exception of an abandoned recv future."""
-    if not future.cancelled():
-        future.exception()
+def _attempt_payload(job: _Job, attempt: int) -> Dict[str, Any]:
+    """The payload one attempt sends; chaos spares attempts past its cap."""
+    payload = dict(job.payload)
+    payload["attempt"] = attempt
+    inject = payload.get("inject")
+    if (
+        inject is not None
+        and inject.get("attempts") is not None
+        and attempt >= int(inject["attempts"])
+    ):
+        del payload["inject"]
+    return payload
 
 
 def retry_after_header(seconds: float) -> str:

@@ -152,8 +152,8 @@ class TestMixedHostileCampaign:
             assert record["task"] == task.payload()
         types = _error_types(summary)
         assert types[2] is None and types[4] is None
-        # Blame is precise: the hang times out, the crash is caught
-        # when its suspect re-run dies alone, and neither poisons the
+        # Blame is precise: the hang times out, the crash is charged
+        # to the task its lane carried, and neither poisons the
         # healthy tasks.
         assert types[0] == "Timeout"
         assert types[1] == "WorkerCrashed"

@@ -10,29 +10,44 @@ economics of Theorem 3, measured on real runs rather than estimated.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 from repro.graphs import bfs_distances
 from repro.graphs.specs import parse_graph
 from repro.harness.hashing import canonical_json
-from repro.serve import DistanceService, SourceBatcher
+from repro.serve import DistanceService, SourceBatcher, Supervisor
 
 GRAPH = "er:24:p=0.15:seed=3"
+
+
+@contextlib.asynccontextmanager
+async def pooled_batcher(service, **kwargs):
+    """A batcher whose runs go through a one-worker supervised pool."""
+    pool = Supervisor(service, workers=1)
+    await pool.start()
+    batcher = SourceBatcher(service, run_rows=pool.rows, **kwargs)
+    try:
+        yield batcher
+        await batcher.drain()
+    finally:
+        batcher.close()
+        await pool.close()
 
 
 def batch_service(sources, *, tick_s=0.05, max_batch=64):
     """One service where ``sources`` arrived concurrently."""
     service = DistanceService()
-    batcher = SourceBatcher(service, tick_s=tick_s, max_batch=max_batch)
     family = service.family_for(GRAPH)
 
     async def go():
-        await asyncio.gather(
-            *(batcher.row(family, source) for source in sources)
-        )
-        await batcher.drain()
+        async with pooled_batcher(
+            service, tick_s=tick_s, max_batch=max_batch
+        ) as batcher:
+            await asyncio.gather(
+                *(batcher.row(family, source) for source in sources)
+            )
 
     asyncio.run(go())
-    batcher.close()
     return service, family
 
 
@@ -110,18 +125,15 @@ def test_max_batch_splits_oversize_windows():
 
 def test_batch_failure_propagates_to_every_waiter():
     service = DistanceService()
-    batcher = SourceBatcher(service, tick_s=0.02)
     family = service.family_for("file:/missing/graph.txt")
 
     async def go():
-        results = await asyncio.gather(
-            batcher.row(family, 1), batcher.row(family, 2),
-            return_exceptions=True,
-        )
-        await batcher.drain()
-        return results
+        async with pooled_batcher(service, tick_s=0.02) as batcher:
+            return await asyncio.gather(
+                batcher.row(family, 1), batcher.row(family, 2),
+                return_exceptions=True,
+            )
 
     results = asyncio.run(go())
-    batcher.close()
     assert len(results) == 2
     assert all(isinstance(r, Exception) for r in results)

@@ -10,12 +10,14 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import sys
+import time
 
 import pytest
 
 from repro.graphs import analysis
 from repro.graphs.specs import parse_graph
-from repro.serve import DistanceService
+from repro.serve import DistanceServer, DistanceService
 from repro.serve.supervisor import (
     ComputeFailed,
     DeadlineExceeded,
@@ -167,9 +169,7 @@ def test_worker_killed_mid_batch_requeues_exactly_once():
         for _ in range(200):
             await asyncio.sleep(0.01)
             pids = pool.worker_pids()
-            if pids and any(
-                handle.busy for handle in pool._handles.values()
-            ):
+            if pids and any(lane.busy for lane in pool._lanes):
                 break
         os.kill(pool.worker_pids()[0], signal.SIGKILL)
         await task
@@ -270,3 +270,91 @@ def test_submit_after_close_raises():
             })
 
     run(main())
+
+
+def test_close_kills_a_hung_job_promptly():
+    async def main():
+        service = DistanceService()
+        pool = Supervisor(
+            service, workers=1, deadline_s=60.0,
+            chaos={"mode": "hang", "seconds": 30.0,
+                   "kinds": ["rows"], "jobs": 1},
+        )
+        await pool.start()
+        job = asyncio.ensure_future(
+            pool.rows(service.family_for(SPEC), [1])
+        )
+        for _ in range(200):
+            await asyncio.sleep(0.01)
+            if any(lane.busy for lane in pool._lanes):
+                break
+        started = time.monotonic()
+        await pool.close()
+        assert time.monotonic() - started < 2.0
+        with pytest.raises(SupervisorError):
+            await job
+        snap = pool.snapshot()
+        assert snap["failed"] == 1
+        assert snap["respawns"] == 0
+        assert snap["requeues"] == 0
+        assert snap["alive"] == 0
+
+    run(main())
+
+
+def test_deadline_message_names_the_jobs_own_budget():
+    async def body(service, pool):
+        family = service.family_for(SPEC)
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            await pool.submit(
+                {"kind": "rows", "family": family.payload(),
+                 "sources": [1]},
+                deadline_s=0.25,
+            )
+        assert "0.25s deadline" in str(excinfo.value)
+
+    run(_with_pool(
+        body,
+        deadline_s=30.0,
+        chaos={"mode": "hang", "seconds": 30.0,
+               "kinds": ["rows"], "jobs": 1},
+    ))
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_count_below_one_is_rejected(workers):
+    with pytest.raises(ValueError, match="at least 1"):
+        Supervisor(DistanceService(), workers=workers)
+    with pytest.raises(ValueError, match="at least 1"):
+        DistanceServer(DistanceService(), workers=workers)
+
+
+def test_stress_more_workers_than_cores_with_crashes():
+    """Concurrent jobs on more lanes than cores: no job lost or doubled."""
+    workers = (os.cpu_count() or 1) + 2
+    switch = sys.getswitchinterval()
+
+    async def body(service, pool):
+        families = [service.family_for(f"cycle:{n}") for n in range(6, 30)]
+        await asyncio.wait_for(
+            asyncio.gather(*(pool.rows(f, [1]) for f in families)), 60
+        )
+        for family in families:
+            assert service.matrix(family).has_row(1)
+        snap = pool.snapshot()
+        assert snap["submitted"] == snap["completed"] == len(families)
+        assert snap["failed"] == 0
+        assert snap["pending"] == 0
+        assert snap["crashes"] == snap["requeues"] == 3
+
+    sys.setswitchinterval(1e-5)
+    try:
+        run(_with_pool(
+            body,
+            workers=workers,
+            retries=1,
+            chaos={"mode": "crash", "kinds": ["rows"],
+                   "jobs": 3, "attempts": 1},
+        ))
+    finally:
+        sys.setswitchinterval(switch)

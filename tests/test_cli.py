@@ -331,3 +331,34 @@ class TestExperimentJobsFlag:
         ]) == 0
         capsys.readouterr()
         assert experiments.execution_config() == before
+
+
+class TestServeWorkerAndDeadlineFlags:
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--workers", "0"],
+        ["serve", "--workers", "-1"],
+        ["serve-chaos", "--workers", "0"],
+    ])
+    def test_worker_count_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("deadline", ["0", "-1"])
+    def test_serve_chaos_nonpositive_deadline_disables_it(
+        self, deadline, monkeypatch, capsys
+    ):
+        from repro.serve import chaos
+
+        seen = []
+
+        def fake_run(options):
+            seen.append(options)
+            return {"ok": True}
+
+        monkeypatch.setattr(chaos, "run_chaos", fake_run)
+        monkeypatch.setattr(chaos, "render_summary", lambda report: "ok")
+        assert main(["serve-chaos", "--deadline", deadline]) == 0
+        capsys.readouterr()
+        assert seen[0].deadline_s is None
