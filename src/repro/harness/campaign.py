@@ -19,10 +19,12 @@ task:
   task it carried, recorded as ``WorkerCrashed``; its lane forks a
   fresh worker and the other lanes' tasks run on untouched;
 * **transient** failures (timeouts, worker death) are retried up to
-  ``retries`` times with exponential backoff; deterministic in-task
-  exceptions are *not* retried — rerunning them cannot help;
-* ``max_failures`` / ``fail_fast`` stop scheduling new tasks once the
-  failure budget is spent; unscheduled tasks get ``Skipped`` records.
+  ``retries`` times with exponential backoff, which holds only the
+  failing task's lane; deterministic in-task exceptions are *not*
+  retried — rerunning them cannot help;
+* ``max_failures`` / ``fail_fast`` stop starting new tasks once the
+  failure budget is spent; tasks already running finish, and tasks
+  not yet started get ``Skipped`` records.
 
 Every record carries the task's content ``key`` plus a ``timing`` block
 (``elapsed_s``, ``cache_hit``) which is the *only* non-deterministic
@@ -32,13 +34,13 @@ comparisons.
 
 from __future__ import annotations
 
+import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import as_completed
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..pool import Crashed, Lane, Ok, Outcome, Raised, RetryPolicy, call
+from ..pool import Crashed, Ok, Outcome, Pool, Raised, RetryPolicy, call
 from .cache import RunCache
 from .progress import ProgressReporter
 from .runner import execute_task
@@ -106,7 +108,7 @@ def _finalize(
     return out
 
 
-def _timed(task: Task) -> Tuple[Dict[str, Any], float]:
+def _timed(task: Task, attempt: int = 0) -> Tuple[Dict[str, Any], float]:
     """Worker entry point: one task's record and its compute seconds."""
     started = time.perf_counter()
     record = execute_task(task)
@@ -114,7 +116,7 @@ def _timed(task: Task) -> Tuple[Dict[str, Any], float]:
 
 
 def _error(
-    outcome: Outcome, attempt: int, timeout_s: Optional[float]
+    outcome: Outcome, attempts: int, timeout_s: Optional[float]
 ) -> Dict[str, Any]:
     """The error block of a failed task's record.
 
@@ -139,7 +141,7 @@ def _error(
     else:
         kind = "Timeout"
         message = f"task exceeded the {timeout_s:g}s wall-clock limit"
-    return {"type": kind, "message": message, "attempts": attempt + 1}
+    return {"type": kind, "message": message, "attempts": attempts}
 
 
 def run_tasks(
@@ -194,7 +196,7 @@ def run_tasks(
             pending.append(index)
 
     def settle(
-        index: int, attempt: int, outcome: Outcome, elapsed: float
+        index: int, attempts: int, outcome: Outcome, elapsed: float
     ) -> None:
         key = keys[index]
         failed = not isinstance(outcome, Ok)
@@ -202,7 +204,7 @@ def run_tasks(
             slots[index] = _finalize(
                 {
                     "task": tasks[index].payload(),
-                    "error": _error(outcome, attempt, timeout_s),
+                    "error": _error(outcome, attempts, timeout_s),
                 },
                 key, elapsed_s=elapsed, cache_hit=False,
             )
@@ -235,28 +237,53 @@ def run_tasks(
 
     failure_limit = 1 if fail_fast else max_failures
 
-    def limit_reached() -> bool:
-        return failure_limit is not None and summary.failures >= failure_limit
-
     # The in-process fast path cannot kill overdue tasks, survive a
     # crashing task, or retry a dead worker — any hardening knob (or
     # more than one worker) forces pool execution.
-    if jobs > 1 or timeout_s is not None or retries > 0:
-        _run_lanes(
-            tasks, pending, settle, skip, limit_reached,
-            workers=min(max(1, jobs), max(1, len(pending))),
-            timeout_s=timeout_s,
+    if pending and (jobs > 1 or timeout_s is not None or retries > 0):
+        lock = threading.Lock()
+        failed = 0
+
+        def stop_at_limit(future) -> None:
+            # Runs on the lane thread that settled ``future`` before that
+            # lane takes another task, so no task starts past the limit.
+            nonlocal failed
+            if future.cancelled() or isinstance(future.result().outcome, Ok):
+                return
+            with lock:
+                failed += 1
+                if failed == failure_limit:
+                    for other in futures:
+                        other.cancel()
+
+        with Pool(
+            _timed, min(max(1, jobs), len(pending)),
             retry=RetryPolicy(max(0, retries), max(0.0, backoff_s)),
-            summary=summary,
-        )
+            name="repro-campaign",
+        ) as pool:
+            futures = {
+                pool.submit(tasks[index], timeout=timeout_s): index
+                for index in pending
+            }
+            if failure_limit is not None:
+                for future in futures:
+                    future.add_done_callback(stop_at_limit)
+            for future in as_completed(futures):
+                if future.cancelled():
+                    skip(futures[future])
+                    continue
+                done = future.result()
+                summary.retried += done.attempts - 1
+                settle(futures[future], done.attempts, done.outcome,
+                       done.elapsed_s)
     else:
         for index in pending:
-            if limit_reached():
+            if failure_limit is not None and summary.failures >= failure_limit:
                 skip(index)
                 continue
             began = time.perf_counter()
             outcome = call(_timed, tasks[index])
-            settle(index, 0, outcome, time.perf_counter() - began)
+            settle(index, 1, outcome, time.perf_counter() - began)
 
     summary.records = [slot for slot in slots if slot is not None]
     summary.elapsed_s = time.perf_counter() - started
@@ -265,70 +292,6 @@ def run_tasks(
     if store is not None:
         store.extend(summary.records)
     return summary
-
-
-def _run_lanes(
-    tasks: Sequence[Task],
-    pending: Sequence[int],
-    settle,
-    skip,
-    limit_reached,
-    *,
-    workers: int,
-    timeout_s: Optional[float],
-    retry: RetryPolicy,
-    summary: CampaignSummary,
-) -> None:
-    """Run ``pending`` on ``workers`` lanes (see the module docstring).
-
-    Each lane carries one task at a time, driven by one thread blocked
-    in :meth:`~repro.pool.Lane.run`; this thread hands out tasks and
-    settles outcomes.  A failed attempt that ``retry`` calls transient
-    re-enters the queue after its backoff.  Every lane is killed and
-    reaped before this returns, so consecutive campaigns never overlap
-    in the process tree.
-    """
-    queue: Deque[Tuple[int, int]] = deque((i, 0) for i in pending)
-    lanes = [Lane(_timed, name=f"repro-campaign-{i}") for i in range(workers)]
-    idle = list(lanes)
-    #: future -> (lane, task index, attempt number, dispatch time)
-    inflight: Dict[Any, Tuple[Lane, int, int, float]] = {}
-    threads = ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="repro-campaign"
-    )
-    try:
-        while queue or inflight:
-            if limit_reached():
-                while queue:
-                    skip(queue.popleft()[0])
-            while queue and idle:
-                lane = idle.pop()
-                index, attempt = queue.popleft()
-                lane.start()
-                future = threads.submit(lane.run, tasks[index], timeout_s)
-                inflight[future] = (lane, index, attempt, time.perf_counter())
-            if not inflight:
-                break
-            done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
-            for future in done:
-                lane, index, attempt, began = inflight.pop(future)
-                idle.append(lane)
-                outcome = future.result()
-                delay = retry.delay(outcome, attempt)
-                if delay is None:
-                    settle(index, attempt, outcome,
-                           time.perf_counter() - began)
-                    continue
-                summary.retried += 1
-                if delay > 0:
-                    time.sleep(delay)
-                queue.append((index, attempt + 1))
-    finally:
-        for lane in lanes:
-            lane.kill()
-        threads.shutdown(wait=True)
-        for lane in lanes:
-            lane.close()
 
 
 def run_campaign(

@@ -32,15 +32,14 @@ the final ``/stats`` snapshot) is written as a
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from .loadgen import http_get
+# ``write_artifact`` is re-exported: both artifacts are written alike.
+from .loadgen import http_once, keep_alive_gets, write_artifact  # noqa: F401
 from .server import ServerThread
 from .stats import percentile
 
@@ -122,48 +121,29 @@ async def _client(
     import random
 
     rng = random.Random(options.seed * 6151 + index)
-    reader = writer = None
     n = options.graph_n
-    try:
-        while time.monotonic() < deadline:
-            if writer is None:
-                reader, writer = await asyncio.open_connection(host, port)
-            warm = stream.issued and rng.random() < options.hit_fraction
-            spec = rng.choice(stream.issued) if warm else stream.next_spec()
-            source = rng.randint(1, n)
-            target = rng.randint(1, n)
-            path = (
-                f"/distance?graph={spec}&source={source}"
-                f"&target={target}&protocol={options.protocol}"
-            )
-            started = time.perf_counter()
-            try:
-                status, payload = await http_get(
-                    reader, writer, host, path
-                )
-            except (ConnectionError, asyncio.IncompleteReadError,
-                    OSError):
-                # An accepted query whose connection died — the drop
-                # the contract forbids.
-                state.dropped += 1
-                writer.close()
-                reader = writer = None
-                continue
-            state.latencies.append(time.perf_counter() - started)
-            state.statuses[status] = state.statuses.get(status, 0) + 1
-            if isinstance(payload, dict) and payload.get("degraded"):
-                state.degraded += 1
-    finally:
-        if writer is not None:
-            writer.close()
 
+    def next_path() -> str:
+        warm = stream.issued and rng.random() < options.hit_fraction
+        spec = rng.choice(stream.issued) if warm else stream.next_spec()
+        source = rng.randint(1, n)
+        target = rng.randint(1, n)
+        return (
+            f"/distance?graph={spec}&source={source}"
+            f"&target={target}&protocol={options.protocol}"
+        )
 
-async def _get_json(host: str, port: int, path: str):
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        return await http_get(reader, writer, host, path)
-    finally:
-        writer.close()
+    async for response in keep_alive_gets(host, port, deadline, next_path):
+        if response is None:
+            # An accepted query whose connection died — the drop the
+            # contract forbids.
+            state.dropped += 1
+            continue
+        status, payload, seconds = response
+        state.latencies.append(seconds)
+        state.statuses[status] = state.statuses.get(status, 0) + 1
+        if isinstance(payload, dict) and payload.get("degraded"):
+            state.degraded += 1
 
 
 async def _killer(
@@ -175,7 +155,7 @@ async def _killer(
     """SIGKILL one worker per round; watch ``/readyz`` round-trip."""
     await asyncio.sleep(options.kill_after_s)
     for round_no in range(options.kills):
-        _status, stats = await _get_json(host, port, "/stats")
+        _status, stats = await http_once(host, port, "/stats")
         pids = (stats.get("supervisor") or {}).get("pids") or []
         if not pids:
             record.append({"round": round_no, "killed": None,
@@ -190,7 +170,7 @@ async def _killer(
         saw_not_ready = False
         recovered_s = None
         while time.monotonic() - killed_at < 10.0:
-            status, _payload = await _get_json(host, port, "/readyz")
+            status, _payload = await http_once(host, port, "/readyz")
             if status != 200:
                 saw_not_ready = True
             elif saw_not_ready:
@@ -221,8 +201,8 @@ async def _drive(
             asyncio.ensure_future(_killer(host, port, options, kills))
         )
     await asyncio.gather(*tasks)
-    ready_status, ready_payload = await _get_json(host, port, "/readyz")
-    _s, stats = await _get_json(host, port, "/stats")
+    ready_status, ready_payload = await http_once(host, port, "/readyz")
+    _s, stats = await http_once(host, port, "/stats")
     return {
         "statuses": dict(sorted(state.statuses.items())),
         "latencies": state.latencies,
@@ -359,17 +339,6 @@ def run_chaos(options: ChaosOptions) -> Dict[str, Any]:
         "checks": checks,
         "ok": all(check["ok"] for check in checks),
     }
-
-
-def write_artifact(report: Dict[str, Any], path: str) -> None:
-    """Write the artifact as pretty-printed JSON (parents created)."""
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def render_summary(report: Dict[str, Any]) -> str:

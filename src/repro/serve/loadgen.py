@@ -27,10 +27,11 @@ import statistics
 import time
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, AsyncIterator, Callable, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
+# The artifact is written exactly as ``repro bench`` writes its reports.
+from ..bench.runner import write_report as write_artifact  # noqa: F401
 from .stats import percentile
 
 #: Artifact schema identifier; bump when the shape changes.
@@ -86,31 +87,41 @@ class _Client:
                 f"&source={source}&target={target}{suffix}")
 
     async def run(self, host: str, port: int, deadline: float) -> None:
-        reader = writer = None
-        try:
-            while time.monotonic() < deadline:
-                if writer is None:
-                    reader, writer = await asyncio.open_connection(
-                        host, port
-                    )
-                path = self.next_path()
-                started = time.perf_counter()
-                try:
-                    status, _payload = await http_get(
-                        reader, writer, host, path
-                    )
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    # Server closed the keep-alive; reconnect once.
-                    writer.close()
-                    reader = writer = None
-                    self.errors += 1
-                    continue
-                self.latencies.append(time.perf_counter() - started)
-                if status >= 400:
-                    self.errors += 1
-        finally:
-            if writer is not None:
+        async for response in keep_alive_gets(
+            host, port, deadline, self.next_path
+        ):
+            if response is not None:
+                self.latencies.append(response[2])
+            if response is None or response[0] >= 400:
+                self.errors += 1
+
+
+async def keep_alive_gets(
+    host: str, port: int, deadline: float, next_path: Callable[[], str]
+) -> AsyncIterator[Optional[Tuple[int, Any, float]]]:
+    """GET ``next_path()`` on one keep-alive connection until ``deadline``.
+
+    Yields ``(status, json, seconds)`` per request, or ``None`` when the
+    connection died under the request; the next request reconnects.
+    """
+    reader = writer = None
+    try:
+        while time.monotonic() < deadline:
+            if writer is None:
+                reader, writer = await asyncio.open_connection(host, port)
+            path = next_path()
+            started = time.perf_counter()
+            try:
+                status, payload = await http_get(reader, writer, host, path)
+            except (OSError, asyncio.IncompleteReadError):
                 writer.close()
+                reader = writer = None
+                yield None
+                continue
+            yield status, payload, time.perf_counter() - started
+    finally:
+        if writer is not None:
+            writer.close()
 
 
 async def http_get(
@@ -124,6 +135,13 @@ async def http_get(
         f"GET {path} HTTP/1.1\r\nHost: {host}\r\n"
         f"Connection: keep-alive\r\n\r\n".encode("latin-1")
     )
+    return await _read_response(reader, writer)
+
+
+async def _read_response(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> Tuple[int, Any]:
+    """Flush the request just written; read back (status, json)."""
     await writer.drain()
     head = await reader.readuntil(b"\r\n\r\n")
     lines = head.decode("latin-1").split("\r\n")
@@ -137,36 +155,23 @@ async def http_get(
     return status, payload
 
 
-async def _http_get_once(host: str, port: int, path: str) -> Tuple[int, Any]:
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        return await http_get(reader, writer, host, path)
-    finally:
-        writer.close()
-
-
-async def _http_post_once(
-    host: str, port: int, path: str, payload: Any
+async def http_once(
+    host: str, port: int, path: str, payload: Any = None
 ) -> Tuple[int, Any]:
-    body = json.dumps(payload).encode("utf-8")
+    """One request on a fresh connection: a GET, or a POST of ``payload``
+    as JSON; returns (status, json)."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
+        if payload is None:
+            return await http_get(reader, writer, host, path)
+        body = json.dumps(payload).encode("utf-8")
         writer.write(
             (f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
              f"Content-Type: application/json\r\n"
              f"Content-Length: {len(body)}\r\n"
              f"Connection: close\r\n\r\n").encode("latin-1") + body
         )
-        await writer.drain()
-        head = await reader.readuntil(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
-        status = int(lines[0].split(" ", 2)[1])
-        length = 0
-        for line in lines[1:]:
-            if line.lower().startswith("content-length:"):
-                length = int(line.split(":", 1)[1])
-        data = await reader.readexactly(length) if length else b""
-        return status, json.loads(data.decode("utf-8")) if data else None
+        return await _read_response(reader, writer)
     finally:
         writer.close()
 
@@ -178,7 +183,7 @@ async def _loadgen_main(options: LoadgenOptions) -> Dict[str, Any]:
         raise ValueError(
             f"--url must look like http://HOST:PORT, got {options.url!r}"
         )
-    status, info = await _http_post_once(
+    status, info = await http_once(
         host, port, "/graphs", {"spec": options.graph}
     )
     if status != 200:
@@ -187,7 +192,7 @@ async def _loadgen_main(options: LoadgenOptions) -> Dict[str, Any]:
         )
     n = info["n"]
     if options.warm:
-        await _http_get_once(
+        await http_once(
             host, port,
             f"/diameter?graph={options.graph}"
             f"&protocol={options.protocol}",
@@ -205,7 +210,7 @@ async def _loadgen_main(options: LoadgenOptions) -> Dict[str, Any]:
         lat for client in clients for lat in client.latencies
     )
     errors = sum(client.errors for client in clients)
-    _status, server_stats = await _http_get_once(host, port, "/stats")
+    _status, server_stats = await http_once(host, port, "/stats")
     requests = len(latencies)
     return {
         "schema": SCHEMA,
@@ -234,17 +239,6 @@ async def _loadgen_main(options: LoadgenOptions) -> Dict[str, Any]:
 def run_loadgen(options: LoadgenOptions) -> Dict[str, Any]:
     """Run the load generator; returns the artifact dict."""
     return asyncio.run(_loadgen_main(options))
-
-
-def write_artifact(report: Dict[str, Any], path: str) -> None:
-    """Write the artifact as pretty-printed JSON (parents created)."""
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def render_summary(report: Dict[str, Any]) -> str:

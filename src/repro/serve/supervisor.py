@@ -25,14 +25,14 @@ Contract per job:
   raises :class:`PoolSaturated` at submit time (the HTTP layer sheds
   with ``429 Retry-After``) so overload never buffers unboundedly.
 
-Workers are :class:`repro.pool.Lane` processes — the pool the campaign
-harness runs on — one job per lane at a time, so a crash or a deadline
-kill is charged to exactly the job that lane carried.  Each worker
-keeps a per-process graph cache so repeated families avoid re-parsing.
-A heartbeat task respawns workers that die while *idle* (an external
-SIGKILL between jobs), which is what flips ``/readyz`` back to ready
-without waiting for traffic.  :meth:`Supervisor.close` kills busy
-workers at once and fails their jobs with :class:`SupervisorError`.
+Jobs run on a :class:`repro.pool.Pool` — the pool the campaign harness
+runs on — one job per worker at a time, so a crash or a deadline kill
+is charged to exactly the job that worker carried.  Each worker keeps
+a per-process graph cache so repeated families avoid re-parsing.  Idle
+lanes respawn workers that die between jobs (an external SIGKILL),
+which is what flips ``/readyz`` back to ready without waiting for
+traffic.  :meth:`Supervisor.close` kills busy workers at once and fails
+their jobs with :class:`SupervisorError`.
 
 Chaos injection — the serving twin of the harness's hostile ``chaos``
 protocol — is built in for tests and the ``repro serve-chaos``
@@ -46,12 +46,13 @@ from __future__ import annotations
 import asyncio
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Mapping, Optional, Set
+from typing import Any, Dict, List, Mapping, Optional
 
 from .. import obs, protocols
 from ..graphs.specs import parse_graph
-from ..pool import Lane, Ok, Raised, RetryPolicy, TimedOut
+from ..pool import (
+    HEARTBEAT_S, Ok, Pool, PoolClosed, Raised, RetryPolicy, Settled, TimedOut,
+)
 from .matrix import QueryFamily
 from .service import DistanceService, batch_sources, run_family
 
@@ -70,9 +71,6 @@ DEFAULT_BACKOFF_S = 0.05
 
 #: Max jobs pending (queued + running) before submission sheds.
 DEFAULT_QUEUE_DEPTH = 128
-
-#: How often the heartbeat respawns workers that died while idle.
-HEARTBEAT_S = 0.25
 
 
 class SupervisorError(RuntimeError):
@@ -100,35 +98,27 @@ class ComputeFailed(SupervisorError):
 # ---------------------------------------------------------------------------
 
 
-def _apply_inject(inject: Mapping[str, Any], graph) -> None:
-    """Run the injected hostility through the ``chaos`` protocol.
-
-    ``hang`` sleeps, ``crash`` kills the worker process outright,
-    ``error`` raises — the exact failure modes the campaign harness's
-    hostile protocol exercises, now inside a serve worker.
-    """
-    protocols.run(
-        "chaos", graph,
-        {"mode": inject.get("mode", "error"),
-         "seconds": float(inject.get("seconds", 3600.0))},
-    )
-
-
 #: The worker process's parsed graphs, so repeated families avoid
 #: re-parsing.  Filled only inside pool workers.
 _WORKER_GRAPHS: Dict[str, Any] = {}
 
 
-def _execute_job(job: Mapping[str, Any]) -> Dict[str, Any]:
-    """Run one compute job in a worker; returns a pickle-pure result."""
+def _execute_job(job: Mapping[str, Any], attempt: int) -> Dict[str, Any]:
+    """Run one compute job in a worker; returns a pickle-pure result.
+
+    A chaos ``inject`` block first runs the ``chaos`` protocol (hang,
+    crash or error) on attempts below its ``attempts`` cap.
+    """
     payload = job["family"]
     spec = payload["graph"]
     graph = _WORKER_GRAPHS.get(spec)
     if graph is None:
         graph = _WORKER_GRAPHS[spec] = parse_graph(spec)
     inject = job.get("inject")
-    if inject:
-        _apply_inject(inject, graph)
+    if inject and attempt < inject["attempts"]:
+        protocols.run("chaos", graph, {
+            "mode": inject["mode"], "seconds": inject["seconds"],
+        })
     family = QueryFamily.make(
         spec, payload["protocol"], payload["params"],
         seed=payload["seed"], policy=payload["policy"],
@@ -150,24 +140,6 @@ def _execute_job(job: Mapping[str, Any]) -> Dict[str, Any]:
     raise ValueError(f"unknown job kind {kind!r}")
 
 
-class _Job:
-    """One queued compute job and its waiter."""
-
-    __slots__ = ("payload", "future", "budget", "deadline")
-
-    def __init__(self, payload, future, budget: Optional[float]) -> None:
-        self.payload = payload
-        self.future = future
-        #: Seconds from submission to result (``None`` = unbounded).
-        self.budget = budget
-        self.deadline = (
-            time.monotonic() + budget if budget is not None else None
-        )
-
-
-_CLOSE = object()
-
-
 class ChaosPlan:
     """Deterministic hostility applied to submitted jobs (tests only).
 
@@ -180,11 +152,14 @@ class ChaosPlan:
     """
 
     def __init__(self, spec: Mapping[str, Any]) -> None:
-        self.mode = spec.get("mode", "error")
-        self.seconds = float(spec.get("seconds", 3600.0))
+        attempts = spec.get("attempts")
+        self.inject = {
+            "mode": spec.get("mode", "error"),
+            "seconds": float(spec.get("seconds", 3600.0)),
+            "attempts": math.inf if attempts is None else int(attempts),
+        }
         self.kinds = set(spec.get("kinds") or ())
         self.jobs_budget = spec.get("jobs")
-        self.attempts = spec.get("attempts")
         self.poisoned = 0
 
     def stamp(self, payload: Dict[str, Any]) -> None:
@@ -194,10 +169,7 @@ class ChaosPlan:
         if self.jobs_budget is not None and self.poisoned >= self.jobs_budget:
             return
         self.poisoned += 1
-        inject = {"mode": self.mode, "seconds": self.seconds}
-        if self.attempts is not None:
-            inject["attempts"] = int(self.attempts)
-        payload["inject"] = inject
+        payload["inject"] = self.inject
 
 
 class Supervisor:
@@ -238,29 +210,12 @@ class Supervisor:
         self.queue_depth = max(1, int(queue_depth))
         self.chaos = ChaosPlan(chaos) if chaos else None
         self.heartbeat_s = heartbeat_s
-        self._queue: "asyncio.Queue" = asyncio.Queue()
-        self._lanes = [
-            Lane(_execute_job, name=f"repro-serve-worker-{wid}")
-            for wid in range(self.workers)
-        ]
-        #: Lanes whose dispatch loop holds a job (the heartbeat leaves
-        #: their respawns to that loop).
-        self._held: Set[Lane] = set()
-        self._loops: List[asyncio.Task] = []
-        self._heartbeat_task: Optional[asyncio.Task] = None
-        self._threads = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve-pool"
-        )
+        self._pool: Optional[Pool] = None
         self._pending = 0
-        self._started = False
         self._closed = False
-        self.last_respawn_at: Optional[float] = None
-        # Counters (single-threaded on the loop; read by /stats).
-        self.spawned = 0
-        self.respawns = 0
-        self.crashes = 0
+        # Counters (single-threaded on the loop; read by /stats).  The
+        # worker counters live on the pool.
         self.deadline_misses = 0
-        self.requeues = 0
         self.submitted = 0
         self.completed = 0
         self.failed = 0
@@ -269,18 +224,12 @@ class Supervisor:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn the workers and their dispatch loops."""
-        if self._started:
-            return
-        self._started = True
-        for lane in self._lanes:
-            lane.start()
-            self.spawned += 1
-        self._loops = [
-            asyncio.ensure_future(self._lane_loop(lane))
-            for lane in self._lanes
-        ]
-        self._heartbeat_task = asyncio.ensure_future(self._heartbeat())
+        """Spawn the workers."""
+        if self._pool is None:
+            self._pool = Pool(
+                _execute_job, self.workers, retry=self._retry,
+                name="repro-serve-worker", heartbeat_s=self.heartbeat_s,
+            )
 
     async def drain(self) -> None:
         """Wait until every accepted job has settled."""
@@ -297,30 +246,10 @@ class Supervisor:
         if self._closed:
             return
         self._closed = True
-        for lane in self._lanes:
-            lane.kill()
-        while not self._queue.empty():
-            self._finish(self._queue.get_nowait(), error=SupervisorError(
-                "supervisor closed before the job ran"
-            ))
-        for _ in self._loops:
-            self._queue.put_nowait(_CLOSE)
-        tasks = list(self._loops)
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            tasks.append(self._heartbeat_task)
-        await asyncio.gather(*tasks, return_exceptions=True)
-        for lane in self._lanes:
-            lane.close()
-        self._threads.shutdown(wait=False)
+        if self._pool is not None:
+            self._pool.close()
 
     # -- worker management -------------------------------------------------
-
-    def _respawn(self, lane: Lane) -> None:
-        if lane.start():
-            self.spawned += 1
-            self.respawns += 1
-            self.last_respawn_at = time.monotonic()
 
     def respawn_age_s(self) -> Optional[float]:
         """Seconds since the last crash respawn (``None`` if never).
@@ -331,26 +260,16 @@ class Supervisor:
         harness) observe that the pool was disrupted — the respawn
         itself is near-instant.
         """
-        if self.last_respawn_at is None:
-            return None
-        return time.monotonic() - self.last_respawn_at
-
-    async def _heartbeat(self) -> None:
-        """Respawn workers that died while idle (external SIGKILL)."""
-        while not self._closed:
-            await asyncio.sleep(self.heartbeat_s)
-            for lane in self._lanes:
-                if lane not in self._held and not lane.alive():
-                    self.crashes += 1
-                    self._respawn(lane)
+        last = getattr(self._pool, "last_respawn_at", None)
+        return None if last is None else time.monotonic() - last
 
     def live_workers(self) -> int:
         """Workers whose processes are currently alive."""
-        return sum(1 for lane in self._lanes if lane.alive())
+        return len(self.worker_pids())
 
     def worker_pids(self) -> List[int]:
         """PIDs of live workers (the chaos harness's kill list)."""
-        return [lane.pid for lane in self._lanes if lane.pid]
+        return self._pool.pids() if self._pool is not None else []
 
     # -- submission --------------------------------------------------------
 
@@ -367,7 +286,7 @@ class Supervisor:
         :class:`ComputeFailed` (worker crash budget spent, or a
         deterministic in-job exception).
         """
-        if not self._started or self._closed:
+        if self._pool is None or self._closed:
             raise SupervisorError("supervisor is not running")
         if self._pending >= self.queue_depth:
             self.shed += 1
@@ -380,7 +299,16 @@ class Supervisor:
             payload = dict(payload)
             self.chaos.stamp(payload)
         budget = self.deadline_s if deadline_s is None else deadline_s
-        future = asyncio.get_running_loop().create_future()
+        future = self._pool.submit(
+            payload,
+            deadline=None if budget is None else time.monotonic() + budget,
+        )
+        # Tallied on the loop, before the waiter resumes — also when a
+        # cancelled waiter leaves the job running.
+        loop = asyncio.get_running_loop()
+        future.add_done_callback(
+            lambda done: loop.call_soon_threadsafe(self._tally, done)
+        )
         self._pending += 1
         self.submitted += 1
         tracer = obs.active()
@@ -390,112 +318,32 @@ class Supervisor:
                 "serve_pool_job", round_no=0, kind=payload["kind"],
                 graph=payload["family"]["graph"],
             )
-        await self._queue.put(_Job(payload, future, budget))
+        rounds = 0
         try:
-            # A cancelled waiter cancels the future too, so the job's
-            # outcome is dropped instead of left unretrieved.
-            result = await future
+            # A cancelled waiter cancels the job too, unless it started.
+            settled = await asyncio.wrap_future(future)
+            result = _result(settled, budget)
+            rounds = result.get("rounds", 0)
+            return result
+        except PoolClosed as exc:
+            raise SupervisorError(
+                "supervisor closed before the job finished"
+            ) from exc
         finally:
             if tracer is not None:
-                tracer.span_end(
-                    span_id,
-                    round_no=0,
-                    rounds=(
-                        future.result().get("rounds", 0)
-                        if future.done() and not future.cancelled()
-                        and future.exception() is None else 0
-                    ),
-                )
-        return result
+                tracer.span_end(span_id, round_no=0, rounds=rounds)
 
-    # -- the dispatch loops ------------------------------------------------
-
-    def _finish(
-        self,
-        job: _Job,
-        *,
-        result: Optional[Dict[str, Any]] = None,
-        error: Optional[BaseException] = None,
-    ) -> None:
+    def _tally(self, future) -> None:
         self._pending -= 1
-        if error is not None:
-            self.failed += 1
-            if not job.future.done():
-                job.future.set_exception(error)
-        else:
+        outcome = None
+        if not future.cancelled() and future.exception() is None:
+            outcome = future.result().outcome
+        if isinstance(outcome, TimedOut):
+            self.deadline_misses += 1
+        if isinstance(outcome, Ok):
             self.completed += 1
-            if not job.future.done():
-                job.future.set_result(result)
-
-    async def _lane_loop(self, lane: Lane) -> None:
-        while True:
-            job = await self._queue.get()
-            if job is _CLOSE:
-                return
-            self._held.add(lane)
-            try:
-                await self._run_job(lane, job)
-            finally:
-                self._held.discard(lane)
-
-    async def _run_job(self, lane: Lane, job: _Job) -> None:
-        """Run ``job`` on ``lane`` until it settles, retrying crashes."""
-        loop = asyncio.get_running_loop()
-        attempt = 0
-        while True:
-            if self._closed:
-                self._finish(job, error=SupervisorError(
-                    "supervisor closed before the job finished"
-                ))
-                return
-            timeout = None
-            if job.deadline is not None:
-                timeout = job.deadline - time.monotonic()
-                if timeout <= 0:
-                    self.deadline_misses += 1
-                    self._finish(job, error=DeadlineExceeded(
-                        "job spent its deadline waiting in the queue"
-                    ))
-                    return
-            if not lane.alive():
-                # Died idle before the heartbeat noticed: not this
-                # job's doing, so it costs the job no attempt.
-                self.crashes += 1
-                self._respawn(lane)
-            outcome = await loop.run_in_executor(
-                self._threads, lane.run, _attempt_payload(job, attempt),
-                timeout,
-            )
-            if isinstance(outcome, Ok):
-                self._finish(job, result=outcome.result)
-                return
-            if isinstance(outcome, Raised):
-                # Deterministic in-job exception: retrying cannot help.
-                self._finish(job, error=ComputeFailed(
-                    f"{outcome.type}: {outcome.message}"
-                ))
-                return
-            if self._closed:
-                continue  # close() killed the worker; fail the job above
-            self._respawn(lane)
-            if isinstance(outcome, TimedOut):
-                self.deadline_misses += 1
-                self._finish(job, error=DeadlineExceeded(
-                    f"job exceeded its {job.budget:g}s deadline"
-                ))
-                return
-            self.crashes += 1
-            delay = self._retry.delay(outcome, attempt)
-            if delay is None:
-                self._finish(job, error=ComputeFailed(
-                    f"the worker process running this job died "
-                    f"({attempt + 1} attempt(s))"
-                ))
-                return
-            self.requeues += 1
-            if delay:
-                await asyncio.sleep(delay)
-            attempt += 1
+        else:
+            self.failed += 1
 
     # -- typed compute API (results merge into the service) ----------------
 
@@ -536,6 +384,7 @@ class Supervisor:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-pure counters for the ``/stats`` ``supervisor`` section."""
+        pool = self._pool
         return {
             "workers": self.workers,
             "alive": self.live_workers(),
@@ -544,11 +393,11 @@ class Supervisor:
             "queue_depth": self.queue_depth,
             "deadline_s": self.deadline_s,
             "retries": self.retries,
-            "spawned": self.spawned,
-            "respawns": self.respawns,
-            "crashes": self.crashes,
+            "spawned": getattr(pool, "spawned", 0),
+            "respawns": getattr(pool, "respawns", 0),
+            "crashes": getattr(pool, "crashes", 0),
             "deadline_misses": self.deadline_misses,
-            "requeues": self.requeues,
+            "requeues": getattr(pool, "retried", 0),
             "submitted": self.submitted,
             "completed": self.completed,
             "failed": self.failed,
@@ -556,18 +405,24 @@ class Supervisor:
         }
 
 
-def _attempt_payload(job: _Job, attempt: int) -> Dict[str, Any]:
-    """The payload one attempt sends; chaos spares attempts past its cap."""
-    payload = dict(job.payload)
-    payload["attempt"] = attempt
-    inject = payload.get("inject")
-    if (
-        inject is not None
-        and inject.get("attempts") is not None
-        and attempt >= int(inject["attempts"])
-    ):
-        del payload["inject"]
-    return payload
+def _result(settled: Settled, budget: Optional[float]) -> Dict[str, Any]:
+    """A settled job's result dict, or the error its outcome maps to."""
+    outcome = settled.outcome
+    if isinstance(outcome, Ok):
+        return outcome.result
+    if isinstance(outcome, Raised):
+        # Deterministic in-job exception: retrying cannot help.
+        raise ComputeFailed(f"{outcome.type}: {outcome.message}")
+    if isinstance(outcome, TimedOut):
+        if settled.attempts == 0:
+            raise DeadlineExceeded(
+                "job spent its deadline waiting in the queue"
+            )
+        raise DeadlineExceeded(f"job exceeded its {budget:g}s deadline")
+    raise ComputeFailed(
+        f"the worker process running this job died "
+        f"({settled.attempts} attempt(s))"
+    )
 
 
 def retry_after_header(seconds: float) -> str:

@@ -2,8 +2,11 @@
 retries, worker-crash isolation, failure limits, and the ``chaos``
 algorithm that makes those paths testable on purpose."""
 
+import time
+
 import pytest
 
+from repro import pool
 from repro.harness import CampaignSpec, Task
 from repro.harness.campaign import run_campaign, run_tasks
 
@@ -99,6 +102,36 @@ class TestCrashIsolation:
         assert summary.records[0]["error"]["type"] == "TaskError"
 
 
+class TestBackoffHoldsOneLane:
+    def test_quick_tasks_settle_while_a_crash_backs_off(self):
+        class Stamps:
+            """A progress reporter that records when each task settled."""
+
+            def __init__(self):
+                self.ok = []
+
+            def task_done(self, *, cache_hit=False, failed=False):
+                if not failed:
+                    self.ok.append(time.monotonic())
+
+            def close(self):
+                pass
+
+        tasks = [_chaos("crash")] + [
+            _chaos("hang", seconds=0.2, seed=i) for i in range(10)
+        ]
+        stamps = Stamps()
+        t0 = time.monotonic()
+        summary = run_tasks(
+            tasks, jobs=2, retries=1, backoff_s=3.0, progress=stamps
+        )
+        # The crash's 3 s backoff holds its own lane only: the other
+        # lane settles the quick tasks meanwhile.
+        assert sum(stamp < t0 + 3.0 for stamp in stamps.ok) >= 8
+        assert _error_types(summary) == ["WorkerCrashed"] + [None] * 10
+        assert summary.retried == 1
+
+
 class TestFailureLimits:
     def test_max_failures_skips_the_rest(self):
         tasks = [_chaos("error", seed=i) for i in range(5)]
@@ -129,6 +162,23 @@ class TestFailureLimits:
         text = summary.describe()
         assert "1 FAILED" in text
         assert "1 skipped" in text
+
+
+class TestCachedReplay:
+    def test_fully_cached_replay_starts_no_worker(
+        self, tmp_path, monkeypatch
+    ):
+        tasks = [_apsp(seed) for seed in range(3)]
+        cache_dir = str(tmp_path / "cache")
+        assert run_tasks(tasks, jobs=2, cache_dir=cache_dir).failures == 0
+
+        def no_fork(self):
+            raise AssertionError("a cached replay forked a worker")
+
+        monkeypatch.setattr(pool.Lane, "start", no_fork)
+        summary = run_tasks(tasks, jobs=2, cache_dir=cache_dir)
+        assert summary.cache_hits == len(tasks)
+        assert summary.failures == 0
 
 
 class TestMixedHostileCampaign:

@@ -169,7 +169,7 @@ def test_worker_killed_mid_batch_requeues_exactly_once():
         for _ in range(200):
             await asyncio.sleep(0.01)
             pids = pool.worker_pids()
-            if pids and any(lane.busy for lane in pool._lanes):
+            if pids and any(lane.busy for lane in pool._pool._lanes):
                 break
         os.kill(pool.worker_pids()[0], signal.SIGKILL)
         await task
@@ -286,7 +286,7 @@ def test_close_kills_a_hung_job_promptly():
         )
         for _ in range(200):
             await asyncio.sleep(0.01)
-            if any(lane.busy for lane in pool._lanes):
+            if any(lane.busy for lane in pool._pool._lanes):
                 break
         started = time.monotonic()
         await pool.close()
